@@ -2,14 +2,14 @@
 
 Only the primitives the recurrent model and the KL/soft-DTW loss need are
 implemented: elementwise arithmetic, gate nonlinearities, same-padded 2-D
-cross-correlation, a full-map softmax, a soft minimum, and the stochastic
-weight draw for Bayesian convolutions. Everything runs in double precision;
-graphs are built per forward pass and freed with it.
+cross-correlation, a full-map softmax, and the stochastic weight draw for
+Bayesian convolutions. `node` also records ops whose forward pass and VJP are
+written elsewhere, such as the fused soft-DTW loss in `losses`. Everything runs
+in double precision; graphs are built per forward pass and freed with it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,37 +57,8 @@ class Tensor:
             raise ShapeError(f"item() needs a scalar, got shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_mul(self, float(other))
-        return hadamard(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def _lift(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 def constant(data) -> Tensor:
@@ -98,7 +69,8 @@ def parameter(data) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
-def _node(data, parents, vjp) -> Tensor:
+def node(data, parents, vjp) -> Tensor:
+    """One graph node; vjp maps the output gradient to one gradient (or None) per parent."""
     return Tensor(data, _parents=tuple(parents), _vjp=vjp)
 
 
@@ -113,23 +85,23 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
-    return _node(a.data + b.data, (a, b), lambda g: (g, g))
+    return node(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
-    return _node(a.data - b.data, (a, b), lambda g: (g, -g))
+    return node(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "hadamard")
     ad, bd = a.data, b.data
-    return _node(ad * bd, (a, b), lambda g: (g * bd, g * ad))
+    return node(ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
 def scalar_mul(a: Tensor, s: float) -> Tensor:
     s = float(s)
-    return _node(a.data * s, (a,), lambda g: (g * s,))
+    return node(a.data * s, (a,), lambda g: (g * s,))
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
@@ -141,54 +113,54 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     y = _sigmoid_values(a.data)
-    return _node(y, (a,), lambda g: (g * y * (1.0 - y),))
+    return node(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
-    return _node(y, (a,), lambda g: (g * (1.0 - y * y),))
+    return node(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
 def softplus(a: Tensor) -> Tensor:
     x = a.data
     y = np.logaddexp(0.0, x)
     sig = _sigmoid_values(x)
-    return _node(y, (a,), lambda g: (g * sig,))
+    return node(y, (a,), lambda g: (g * sig,))
 
 
 def texp(a: Tensor) -> Tensor:
     y = np.exp(a.data)
-    return _node(y, (a,), lambda g: (g * y,))
+    return node(y, (a,), lambda g: (g * y,))
 
 
 def tlog(a: Tensor) -> Tensor:
     x = a.data
     if np.any(x <= 0):
         raise ParameterError("log of non-positive tensor entry")
-    return _node(np.log(x), (a,), lambda g: (g / x,))
+    return node(np.log(x), (a,), lambda g: (g / x,))
 
 
 def recip(a: Tensor) -> Tensor:
     x = a.data
     y = 1.0 / x
-    return _node(y, (a,), lambda g: (-g * y * y,))
+    return node(y, (a,), lambda g: (-g * y * y,))
 
 
 def clamp_min(a: Tensor, floor: float) -> Tensor:
     x = a.data
     mask = (x >= floor).astype(np.float64)
-    return _node(np.maximum(x, floor), (a,), lambda g: (g * mask,))
+    return node(np.maximum(x, floor), (a,), lambda g: (g * mask,))
 
 
 def tsum(a: Tensor) -> Tensor:
     """Sum of all entries, as a 0-d tensor."""
     shape = a.data.shape
-    return _node(np.asarray(a.data.sum()), (a,), lambda g: (np.full(shape, float(np.asarray(g).reshape(()))),))
+    return node(np.asarray(a.data.sum()), (a,), lambda g: (np.full(shape, float(np.asarray(g).reshape(()))),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     old = a.data.shape
-    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
+    return node(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def concat0(tensors) -> Tensor:
@@ -203,7 +175,7 @@ def concat0(tensors) -> Tensor:
     def vjp(g):
         return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
 
-    return _node(np.concatenate([t.data for t in tensors], axis=0), tensors, vjp)
+    return node(np.concatenate([t.data for t in tensors], axis=0), tensors, vjp)
 
 
 def slice0(a: Tensor, start: int, stop: int) -> Tensor:
@@ -217,7 +189,7 @@ def slice0(a: Tensor, start: int, stop: int) -> Tensor:
         full[start:stop] = g
         return (full,)
 
-    return _node(a.data[start:stop].copy(), (a,), vjp)
+    return node(a.data[start:stop].copy(), (a,), vjp)
 
 
 def map_softmax(a: Tensor) -> Tensor:
@@ -226,28 +198,7 @@ def map_softmax(a: Tensor) -> Tensor:
     shifted = x - x.max()
     e = np.exp(shifted)
     y = e / e.sum()
-    return _node(y, (a,), lambda g: (y * (g - float((g * y).sum())),))
-
-
-def softmin(values, gamma: float) -> Tensor:
-    """-gamma * log(sum(exp(-a_i / gamma))) over scalar tensors, stabilized."""
-    if gamma <= 0:
-        raise ParameterError(f"softmin gamma must be positive, got {gamma}")
-    values = [v if isinstance(v, Tensor) else _lift(v) for v in values]
-    if not values:
-        raise ParameterError("softmin of an empty collection")
-    a = np.array([v.item() for v in values], dtype=np.float64)
-    m = a.min()
-    e = np.exp(-(a - m) / gamma)
-    z = e.sum()
-    out = m - gamma * math.log(z)
-    w = e / z  # d out / d a_i
-
-    def vjp(g):
-        gs = float(np.asarray(g).reshape(()))
-        return tuple(np.asarray(gs * w[i]) for i in range(len(values)))
-
-    return _node(np.asarray(out), values, vjp)
+    return node(y, (a,), lambda g: (y * (g - float((g * y).sum())),))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +248,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         return (grad_x, grad_k, g.sum(axis=(1, 2)))
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return _node(out, parents, vjp)
+    return node(out, parents, vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ ground-truth fixation, optionally penalized for sitting on the center prior;
 soft dynamic time warping aligns the two sequences and the loss averages the
 alignment cost over every ground-truth scanpath of the image.
 
+One soft-DTW program, vectorised over a stack of cost matrices, serves both
+`soft_dtw` and `kl_dtw_loss`; its gradient is the expected alignment propagated
+back through the kept soft-min weights (Cuturi & Blondel 2017, Alg. 2), so the
+loss is one autodiff node whatever the number and length of the sequences.
+
 All operations accept either plain arrays (metric/evaluation use) or autodiff
 tensors (training use) and return the matching kind.
 """
@@ -35,12 +40,15 @@ class LossConfig:
     sigma: float = 2.0
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ParameterError(f"gamma must be positive, got {self.gamma}")
-        if self.lambda_base < 0 or self.lambda_slope < 0:
-            raise ParameterError("schedule coefficients must be nonnegative")
-        if self.sigma <= 0:
-            raise ParameterError("sigma must be positive")
+        _check_positive("gamma", self.gamma)
+        _check_positive("sigma", self.sigma)
+        if not all(math.isfinite(c) and c >= 0 for c in (self.lambda_base, self.lambda_slope)):
+            raise ParameterError("schedule coefficients must be finite and nonnegative")
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ParameterError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -53,29 +61,6 @@ class CenterPrior:
     def for_grid(cls, grid: GridSpec, sigma: float) -> "CenterPrior":
         cx, cy = grid.center
         return cls(gaussian_map(GazePoint(cx, cy), grid, sigma))
-
-
-@dataclass(frozen=True)
-class CostMatrix:
-    """Pairwise alignment costs; entries may be floats or scalar tensors."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.entries)
-        if not rows or not rows[0]:
-            raise ParameterError("cost matrix cannot be empty")
-        if any(len(r) != len(rows[0]) for r in rows):
-            raise ShapeError("cost matrix rows have unequal lengths")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    @property
-    def m(self) -> int:
-        return len(self.entries[0])
 
 
 def _values_of(p):
@@ -105,52 +90,99 @@ def kl_div(p, q):
     return float(np.sum(pv * (np.log(pv) - np.log(qv))))
 
 
+def _soft_min_rows(a: np.ndarray, gamma: float):
+    """Stabilised soft-min over the last axis, and its weights d out / d a."""
+    m = a.min(axis=-1, keepdims=True)
+    e = np.exp(-(a - m) / gamma)
+    z = e.sum(axis=-1, keepdims=True)
+    return (m - gamma * np.log(z))[..., 0], e / z
+
+
+def _stack_scalars(values) -> Tensor:
+    """One 1-D tensor from single-entry tensors and floats, differentiable in each."""
+    parts = []
+    for v in values:
+        t = v if isinstance(v, Tensor) else ad.constant(v)
+        if t.data.size != 1:
+            raise ShapeError(f"expected a scalar entry, got shape {t.data.shape}")
+        parts.append(ad.reshape(t, (1,)))
+    return ad.concat0(parts)
+
+
 def soft_min(values, gamma: float):
     """-gamma * ln sum(exp(-a_i / gamma)), <= min(values), -> min as gamma -> 0."""
     values = list(values)
     if not values:
         raise ParameterError("soft_min of an empty collection")
-    if gamma <= 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
+    _check_positive("gamma", gamma)
     if any(isinstance(v, Tensor) for v in values):
-        return ad.softmin(values, gamma)
-    a = np.asarray(values, dtype=np.float64)
-    m = float(a.min())
-    return m - gamma * math.log(float(np.exp(-(a - m) / gamma).sum()))
+        x = _stack_scalars(values)
+        shift = float(x.data.min())  # max of -x / gamma, held constant
+        scaled = ad.scalar_mul(ad.sub(x, ad.constant(np.full(x.shape, shift))), -1.0 / gamma)
+        return ad.add(ad.scalar_mul(ad.tlog(ad.tsum(ad.texp(scaled))), -gamma), ad.constant(shift))
+    return float(_soft_min_rows(np.asarray(values, dtype=np.float64), gamma)[0])
+
+
+def _soft_dtw_dp(D: np.ndarray, gamma: float):
+    """Soft-DTW over a stack of cost matrices D[S, N, M], vectorised over S.
+
+    Returns the alignment costs R[S] and the weights W[S, N + 1, M + 1, 3]
+    that each cell's soft-min gives its (up, left, diagonal) predecessors;
+    row N and column M of W are zero padding for the backward pass.
+    """
+    S, N, M = D.shape
+    # an infinite border gets weight 0: the first row and column then add up
+    # their single predecessor exactly, and cell (0, 0) starts from 0
+    R = np.full((S, N + 1, M + 1), np.inf)
+    R[:, 0, 0] = 0.0
+    W = np.zeros((S, N + 1, M + 1, 3))
+    for i in range(N):
+        for j in range(M):
+            prev = np.stack((R[:, i, j + 1], R[:, i + 1, j], R[:, i, j]), axis=-1)
+            smin, W[:, i, j] = _soft_min_rows(prev, gamma)
+            R[:, i + 1, j + 1] = D[:, i, j] + smin
+    return R[:, N, M], W
+
+
+def _soft_dtw_alignment(W: np.ndarray) -> np.ndarray:
+    """Expected alignment E[S, N, M] = d R[S] / d D from the weights of _soft_dtw_dp."""
+    S, N, M = W.shape[0], W.shape[1] - 1, W.shape[2] - 1
+    E = np.zeros((S, N + 1, M + 1))
+    E[:, N - 1, M - 1] = 1.0
+    for i in reversed(range(N)):
+        for j in reversed(range(M)):
+            if i < N - 1 or j < M - 1:
+                E[:, i, j] = (E[:, i + 1, j] * W[:, i + 1, j, 0] + E[:, i, j + 1] * W[:, i, j + 1, 1]
+                              + E[:, i + 1, j + 1] * W[:, i + 1, j + 1, 2])
+    return E[:, :N, :M]
 
 
 def soft_dtw(delta, gamma: float):
     """Soft-DTW over a cost matrix via the soft-min dynamic program.
 
-    Accepts a CostMatrix, an ndarray or nested lists; entries may be scalar
-    tensors, making the result differentiable in every entry.
+    Accepts an ndarray, a 2-D tensor or nested rows whose entries may be
+    floats or scalar tensors; any tensor makes the result a scalar tensor
+    differentiable in every entry.
     """
-    if isinstance(delta, CostMatrix):
-        rows = delta.entries
-    elif isinstance(delta, np.ndarray):
-        if delta.ndim != 2 or delta.size == 0:
-            raise ParameterError("soft_dtw needs a nonempty 2-D cost matrix")
-        rows = tuple(tuple(float(v) for v in r) for r in delta)
-    else:
-        rows = tuple(tuple(r) for r in delta)
-        if not rows or not rows[0]:
-            raise ParameterError("soft_dtw needs a nonempty 2-D cost matrix")
-    n, m = len(rows), len(rows[0])
-    prev = None
-    for i in range(n):
-        cur = []
-        for j in range(m):
-            d = rows[i][j]
-            if i == 0 and j == 0:
-                cur.append(d)
-            elif i == 0:
-                cur.append(d + cur[j - 1])
-            elif j == 0:
-                cur.append(d + prev[0])
-            else:
-                cur.append(d + soft_min((prev[j], cur[j - 1], prev[j - 1]), gamma))
-        prev = cur
-    return prev[m - 1]
+    _check_positive("gamma", gamma)
+    if not isinstance(delta, (np.ndarray, Tensor)):
+        rows = [list(r) for r in delta]
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise ShapeError("soft_dtw cost matrix rows have unequal lengths")
+        flat = [v for r in rows for v in r]
+        if any(isinstance(v, Tensor) for v in flat):
+            delta = ad.reshape(_stack_scalars(flat), (len(rows), len(rows[0])))
+        else:
+            delta = np.array(rows, dtype=np.float64)
+    data = delta.data if isinstance(delta, Tensor) else np.asarray(delta, dtype=np.float64)
+    if data.ndim != 2 or data.size == 0:
+        raise ParameterError("soft_dtw needs a nonempty 2-D cost matrix")
+    if not np.isfinite(data).all():
+        raise ParameterError("soft_dtw cost entries must be finite")
+    R, W = _soft_dtw_dp(data[None], gamma)
+    if not isinstance(delta, Tensor):
+        return float(R[0])
+    return ad.node(R[0], (delta,), lambda g: (g * _soft_dtw_alignment(W)[0],))
 
 
 def lambda_schedule(t: float, cfg: LossConfig) -> float:
@@ -202,57 +234,55 @@ def kl_dtw_loss(pred_maps, truth, cfg: LossConfig, grid: GridSpec | None = None)
     The cost matrices are assembled from shared per-prediction subterms
     (sum P log P and the center regularizer are independent of the ground
     truth), which is algebraically identical to calling pairwise_cost per pair.
+    Scanpaths of equal length share one cost stack and one dynamic program.
     """
     pred_maps = [_values_of(p) for p in pred_maps]
     if not pred_maps:
         raise ParameterError("prediction sequence is empty")
     if not truth:
         raise ParameterError("ground-truth scanpath set is empty")
-    first = pred_maps[0]
-    shape = first.data.shape if isinstance(first, Tensor) else first.shape
+    arrays = [p.data if isinstance(p, Tensor) else p for p in pred_maps]
+    shape = arrays[0].shape
     if grid is None:
         grid = GridSpec(width=shape[1], height=shape[0])
     spat = _spatialized(truth, grid, cfg.sigma)
-    prior = CenterPrior.for_grid(grid, cfg.sigma)
-    lambdas = [lambda_schedule(i, cfg) for i in range(len(pred_maps))]
-    use_reg = any(l > 0 for l in lambdas)
-    log_gc = np.log(prior.g_c.values)
-
-    if any(isinstance(p, Tensor) for p in pred_maps):
-        preds = [p if isinstance(p, Tensor) else ad.constant(p) for p in pred_maps]
-        selfs = [ad.tsum(ad.hadamard(p, ad.tlog(p))) for p in preds]
-        reg_terms = None
-        if use_reg:
-            reg_terms = []
-            for i, p in enumerate(preds):
-                kl_c = ad.sub(selfs[i], ad.tsum(ad.hadamard(p, ad.constant(log_gc))))
-                reg_terms.append(ad.scalar_mul(ad.recip(ad.clamp_min(kl_c, REG_KL_FLOOR)), lambdas[i]))
-        total = None
-        for s in spat:
-            log_qs = [ad.constant(np.log(g.values)) for g in s.maps]
-            rows = []
-            for i, p in enumerate(preds):
-                row = []
-                for lq in log_qs:
-                    d = ad.sub(selfs[i], ad.tsum(ad.hadamard(p, lq)))
-                    if use_reg:
-                        d = ad.add(d, reg_terms[i])
-                    row.append(d)
-                rows.append(tuple(row))
-            term = soft_dtw(CostMatrix(tuple(rows)), cfg.gamma)
-            total = term if total is None else total + term
-        return ad.scalar_mul(total, 1.0 / len(spat))
-
-    # pure numeric path, vectorized across pairs
-    P = np.stack(pred_maps).reshape(len(pred_maps), -1)
-    selfs = (P * np.log(P)).sum(axis=1)
-    reg = np.zeros(len(pred_maps))
-    if use_reg:
-        kl_c = selfs - P @ log_gc.reshape(-1)
-        reg = np.asarray(lambdas) / np.maximum(kl_c, REG_KL_FLOOR)
-    total = 0.0
+    if any(a.shape != shape for a in arrays) or any(g.values.shape != shape for s in spat for g in s.maps):
+        raise ShapeError(f"kl_dtw_loss: every predicted and ground-truth map must have shape {shape}")
+    P = np.stack(arrays).reshape(len(arrays), -1)
+    if np.any(P <= 0):
+        raise ParameterError("predicted maps must be strictly positive")
+    log_p = np.log(P)
+    selfs = (P * log_p).sum(axis=1)
+    lambdas = np.array([lambda_schedule(i, cfg) for i in range(len(arrays))])
+    log_gc = np.log(CenterPrior.for_grid(grid, cfg.sigma).g_c.values).reshape(-1)
+    kl_c = selfs - P @ log_gc
+    floored = np.maximum(kl_c, REG_KL_FLOOR)
+    reg = lambdas / floored  # exactly 0 where lambda is 0
+    reg_slope = np.where(kl_c >= REG_KL_FLOOR, -reg / floored, 0.0)  # d reg / d kl_c
+    by_length: dict[int, list] = {}
     for s in spat:
-        Q = np.stack([g.values for g in s.maps]).reshape(s.n, -1)
-        delta = selfs[:, None] - P @ np.log(Q).T + reg[:, None]
-        total += soft_dtw(delta, cfg.gamma)
-    return total / len(spat)
+        by_length.setdefault(s.n, []).append([g.values.reshape(-1) for g in s.maps])
+    log_qs = [np.log(np.array(group)) for group in by_length.values()]  # [S_m, M, pixels]
+    weights, total = [], 0.0
+    for log_q in log_qs:
+        D = selfs[None, :, None] - np.einsum("ik,sjk->sij", P, log_q, optimize=True) + reg[None, :, None]
+        R, W = _soft_dtw_dp(D, cfg.gamma)
+        weights.append(W)
+        total += R.sum()
+    value = total / len(spat)
+    if not any(isinstance(p, Tensor) for p in pred_maps):
+        return float(value)
+
+    def vjp(g):
+        scale = float(np.asarray(g).reshape(())) / len(spat)
+        grad = np.zeros_like(P)
+        row_weight = np.zeros(len(arrays))  # d loss / d (selfs[i] + reg[i])
+        for log_q, W in zip(log_qs, weights):
+            E = _soft_dtw_alignment(W) * scale
+            row_weight += E.sum(axis=(0, 2))
+            grad -= np.einsum("sij,sjk->ik", E, log_q, optimize=True)
+        grad += row_weight[:, None] * (log_p + 1.0) + (row_weight * reg_slope)[:, None] * (log_p + 1.0 - log_gc)
+        return tuple(row.reshape(shape) for row in grad)
+
+    preds = [p if isinstance(p, Tensor) else ad.constant(p) for p in pred_maps]
+    return ad.node(np.asarray(value), preds, vjp)

@@ -34,8 +34,8 @@ class TrainConfig:
     teacher_forcing: bool = True
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ParameterError(f"learning rate must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ParameterError(f"learning rate must be positive and finite, got {self.lr}")
         if self.max_steps < 0 or self.checkpoint_every < 0:
             raise ParameterError("step counts must be nonnegative")
 

@@ -5,10 +5,10 @@ import pytest
 
 from scanpath import autodiff as ad
 from scanpath.core import EPS, GazePoint, GridSpec, Scanpath, gaussian_map, smooth_and_normalize, spatialize
+from scanpath.data_io import preprocess, synth_dataset
 from scanpath.errors import ParameterError, ShapeError
 from scanpath.losses import (
     CenterPrior,
-    CostMatrix,
     LossConfig,
     kl_div,
     kl_dtw_loss,
@@ -44,6 +44,73 @@ def brute_soft_min(costs, gamma):
     a = np.asarray(costs)
     m = a.min()
     return float(m - gamma * np.log(np.exp(-(a - m) / gamma).sum()))
+
+
+def cell_soft_min(values, gamma):
+    """Soft-min of scalar tensors as one graph node with its own VJP."""
+    a = np.array([v.item() for v in values])
+    m = a.min()
+    e = np.exp(-(a - m) / gamma)
+    z = e.sum()
+    w = e / z
+
+    def vjp(g):
+        gs = float(np.asarray(g).reshape(()))
+        return tuple(np.asarray(gs * wi) for wi in w)
+
+    return ad.node(np.asarray(m - gamma * math.log(z)), values, vjp)
+
+
+def per_cell_kl_dtw_loss(preds, truth, cfg, grid):
+    """Reference loss built as a graph of scalar tensors: one node per cost entry and DP cell.
+
+    preds are map tensors; truth holds spatialized scanpaths of any lengths.
+    """
+    lambdas = [lambda_schedule(i, cfg) for i in range(len(preds))]
+    use_reg = any(l > 0 for l in lambdas)
+    log_gc = np.log(CenterPrior.for_grid(grid, cfg.sigma).g_c.values)
+    selfs = [ad.tsum(ad.hadamard(p, ad.tlog(p))) for p in preds]
+    reg_terms = []
+    if use_reg:
+        for i, p in enumerate(preds):
+            kl_c = ad.sub(selfs[i], ad.tsum(ad.hadamard(p, ad.constant(log_gc))))
+            reg_terms.append(ad.scalar_mul(ad.recip(ad.clamp_min(kl_c, 1e-6)), lambdas[i]))
+    total = None
+    for s in truth:
+        log_qs = [ad.constant(np.log(g.values)) for g in s.maps]
+        rows = []
+        for i, p in enumerate(preds):
+            row = []
+            for lq in log_qs:
+                d = ad.sub(selfs[i], ad.tsum(ad.hadamard(p, lq)))
+                row.append(ad.add(d, reg_terms[i]) if use_reg else d)
+            rows.append(row)
+        prev = None
+        for i in range(len(rows)):
+            cur = []
+            for j, d in enumerate(rows[i]):
+                if i == 0 and j == 0:
+                    cur.append(d)
+                elif i == 0:
+                    cur.append(ad.add(d, cur[j - 1]))
+                elif j == 0:
+                    cur.append(ad.add(d, prev[0]))
+                else:
+                    cur.append(ad.add(d, cell_soft_min((prev[j], cur[j - 1], prev[j - 1]), cfg.gamma)))
+            prev = cur
+        total = prev[-1] if total is None else ad.add(total, prev[-1])
+    return ad.scalar_mul(total, 1.0 / len(truth))
+
+
+def graph_ids(roots):
+    """ids of every tensor reachable from roots through parent edges."""
+    seen, stack = set(), list(roots)
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +189,27 @@ def test_soft_min_errors():
         soft_min([1.0], gamma=0.0)
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_soft_min_and_soft_dtw_reject_nonfinite_gamma(gamma):
+    with pytest.raises(ParameterError):
+        soft_min([1.0, 2.0], gamma)
+    with pytest.raises(ParameterError):
+        soft_min([ad.constant(1.0), ad.constant(2.0)], gamma)
+    with pytest.raises(ParameterError):
+        soft_dtw(np.ones((2, 2)), gamma)
+
+
+def test_soft_min_tensor_path_matches_and_grad_checks():
+    rng = np.random.default_rng(6)
+    x = ad.parameter(rng.uniform(-1, 1, (4,)))
+
+    def f(t):
+        return soft_min([ad.tsum(ad.slice0(t, i, i + 1)) for i in range(4)], gamma=0.7)
+
+    assert f(x).item() == pytest.approx(soft_min(x.data.tolist(), gamma=0.7), rel=1e-14)
+    assert ad.grad_check(f, x) < 1e-6
+
+
 def test_soft_dtw_single_cell():
     assert soft_dtw(np.array([[3.25]]), gamma=1.0) == pytest.approx(3.25)
 
@@ -190,6 +278,9 @@ def test_soft_dtw_gradient_vs_finite_differences():
         return soft_dtw(rows, gamma=0.3)
 
     assert ad.grad_check(f, x, h=1e-4) < 1e-3
+    # a matrix tensor goes through the same op without the per-entry stacking
+    assert ad.grad_check(lambda t: soft_dtw(t, gamma=0.3), x, h=1e-4) < 1e-3
+    assert soft_dtw(x, gamma=0.3).item() == f(x).item()
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +398,116 @@ def test_kl_dtw_loss_gradient_vs_finite_differences():
 
 def test_cost_matrix_validation():
     with pytest.raises(ParameterError):
-        CostMatrix(())
+        soft_dtw((), gamma=0.1)
+    with pytest.raises(ParameterError):
+        soft_dtw([[]], gamma=0.1)
     with pytest.raises(ShapeError):
-        CostMatrix(((1.0, 2.0), (3.0,)))
-    cm = CostMatrix(((1.0, 2.0), (3.0, 4.0)))
-    assert (cm.n, cm.m) == (2, 2)
+        soft_dtw([[1.0, 2.0], [3.0]], gamma=0.1)
+    with pytest.raises(ShapeError):
+        soft_dtw([[1.0], [2.0, 3.0]], gamma=0.1)
+    with pytest.raises(ShapeError):
+        soft_dtw([[ad.constant(1.0)], [ad.constant(2.0), ad.constant(3.0)]], gamma=0.1)
+    with pytest.raises(ParameterError):
+        soft_dtw([[1.0, math.inf]], gamma=0.1)
+    with pytest.raises(ParameterError):
+        soft_dtw(np.array([[1.0], [math.nan]]), gamma=0.1)
+    delta = [[1.0, 2.0], [3.0, 4.0]]
+    assert soft_dtw(delta, gamma=0.1) == soft_dtw(np.array(delta), gamma=0.1)
 
 
 def test_kl_dtw_loss_empty_truth():
     with pytest.raises(ParameterError):
         kl_dtw_loss([np.ones((4, 4)) / 16], [], LossConfig(), GridSpec(4, 4))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"gamma": math.nan}, {"gamma": math.inf},
+    {"lambda_base": math.nan}, {"lambda_base": math.inf},
+    {"lambda_slope": math.nan}, {"lambda_slope": math.inf},
+    {"sigma": math.nan}, {"sigma": math.inf},
+])
+def test_loss_config_rejects_nonfinite(kwargs):
+    with pytest.raises(ParameterError):
+        LossConfig(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# fused loss against the per-cell scalar-tensor oracle
+
+
+def train_shaped_case(seed=11, lengths=None):
+    """8 predicted maps on a 32x32 grid against 15 ground-truth scanpaths.
+
+    lengths, when given, replaces the truth by random scanpaths of those lengths.
+    """
+    grid = GridSpec(32, 32)
+    rng = np.random.default_rng(seed)
+    if lengths is None:
+        ds = synth_dataset(1, 15, 2, grid, np.random.default_rng(seed))
+        truth = list(preprocess(ds, grid, n_fix=8, sigma=2.0)[0].spatialized)
+    else:
+        truth = [spatialize(Scanpath(tuple(GazePoint(*rng.uniform(0, 31.9, 2), i) for i in range(n)),
+                                     "img", f"o{k}"), grid, 2.0)
+                 for k, n in enumerate(lengths)]
+    logits = rng.normal(size=(8, 32, 32))
+    maps = [np.exp(l) / np.exp(l).sum() for l in logits]
+    return grid, truth, maps
+
+
+def loss_and_grads(loss_fn, maps, truth, cfg, grid):
+    params = [ad.parameter(m) for m in maps]
+    loss = loss_fn(params, truth, cfg, grid)
+    ad.backward(loss)
+    return loss.item(), np.stack([p.grad for p in params])
+
+
+@pytest.mark.parametrize("lam, lengths", [(0.05, None), (0.0, None), (0.05, (8, 8, 6, 5))],
+                         ids=["train_shape", "no_center_bias", "ragged_truth"])
+def test_fused_loss_matches_per_cell_oracle(lam, lengths):
+    grid, truth, maps = train_shaped_case(lengths=lengths)
+    cfg = LossConfig(gamma=0.1, lambda_base=lam, lambda_slope=lam, sigma=2.0)
+    want, want_grad = loss_and_grads(per_cell_kl_dtw_loss, maps, truth, cfg, grid)
+    got, got_grad = loss_and_grads(kl_dtw_loss, maps, truth, cfg, grid)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert np.abs(got_grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+    assert abs(kl_dtw_loss(maps, truth, cfg, grid) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-3])
+def test_kl_dtw_loss_rejects_nonpositive_prediction(bad):
+    grid, truth, maps = train_shaped_case()
+    maps[3] = maps[3].copy()
+    maps[3][5, 7] = bad
+    cfg = LossConfig()
+    with pytest.raises(ParameterError):
+        kl_dtw_loss([ad.parameter(m) for m in maps], truth, cfg, grid)
+    with pytest.raises(ParameterError):
+        kl_dtw_loss(maps, truth, cfg, grid)
+
+
+def test_kl_dtw_loss_uses_tiny_entries_unclamped():
+    grid, truth, maps = train_shaped_case()
+    maps[3] = maps[3].copy()
+    maps[3][5, 7] = 1e-300
+    cfg = LossConfig()
+    want, want_grad = loss_and_grads(per_cell_kl_dtw_loss, maps, truth, cfg, grid)
+    got, got_grad = loss_and_grads(kl_dtw_loss, maps, truth, cfg, grid)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert np.abs(got_grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+    # the entry's own term d(P log P)/dP = log P + 1 shows it was not floored
+    assert got_grad[3, 5, 7] < math.log(1e-200)
+
+
+def test_kl_dtw_loss_graph_size_independent_of_shape():
+    """The loss adds the same number of graph nodes whatever S, N and M are."""
+    added = set()
+    for n_paths, n_maps, n_fix in [(3, 8, 8), (15, 8, 8), (15, 4, 8), (15, 8, 5)]:
+        grid = GridSpec(32, 32)
+        rng = np.random.default_rng(n_paths + n_maps + n_fix)
+        ds = synth_dataset(1, n_paths, 2, grid, rng)
+        truth = list(preprocess(ds, grid, n_fix=n_fix, sigma=2.0)[0].spatialized)
+        frames = [ad.map_softmax(ad.parameter(rng.normal(size=(32, 32)))) for _ in range(n_maps)]
+        loss = kl_dtw_loss(frames, truth, LossConfig(), grid)
+        added.add(len(graph_ids([loss]) - graph_ids(frames)))
+    assert len(added) == 1
+    assert added.pop() <= 2

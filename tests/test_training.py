@@ -3,7 +3,7 @@ import pytest
 
 from scanpath.core import GridSpec
 from scanpath.data_io import preprocess, read_checkpoint, synth_dataset
-from scanpath.errors import NumericalError
+from scanpath.errors import NumericalError, ParameterError
 from scanpath.losses import CenterPrior, LossConfig, lambda_schedule, pairwise_cost
 from scanpath.model import ModelConfig
 from scanpath.training import TrainConfig, init_state, train, train_step
@@ -163,6 +163,13 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     for (sa, va), (sb, vb) in zip(full_log[2:], tail_log):
         assert sa == sb
         assert abs(va - vb) < 1e-9
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0])
+def test_train_config_rejects_bad_learning_rate(lr):
+    _, cfg = toy_setup()
+    with pytest.raises(ParameterError):
+        TrainConfig(model=cfg.model, loss=cfg.loss, lr=lr)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")
