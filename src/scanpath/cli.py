@@ -15,12 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import GazePoint, GridSpec, Scanpath, gaussian_map
+from .core import GazePoint, GridSpec, Scanpath, gaussian_map, parse_value
 from .data_io import (
     load_scanpath_dataset,
     preprocess,
     read_checkpoint,
     read_feature_tensor,
+    resample_to_grid,
     rescale_point,
     grid_to_native,
     save_scanpath_csv,
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .losses import LossConfig
 from .metrics import MetricConfig, evaluate_set, human_baseline, random_baseline, write_report_csv
-from .model import ModelConfig, model_from_checkpoint
+from .model import HYPER_FIELDS, ModelConfig, model_from_checkpoint
 from .training import TrainConfig, train
 
 
@@ -78,19 +79,8 @@ class RunConfig:
     features_dir: str = ""
 
 
-def _parse_value(raw: str, kind):
-    if kind is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise DataError(f"expected boolean, got '{raw}'")
-    return kind(raw)
-
-
 def load_run_config(path) -> RunConfig:
     known = {f.name: f.type for f in fields(RunConfig)}
-    types = {"int": int, "float": float, "str": str, "bool": bool}
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -103,7 +93,7 @@ def load_run_config(path) -> RunConfig:
             if key not in known:
                 raise DataError(f"{path}:{lineno}: unknown config key '{key}'")
             try:
-                values[key] = _parse_value(raw, types[known[key]])
+                values[key] = parse_value(raw, known[key])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
     return RunConfig(**values)
@@ -116,23 +106,12 @@ def write_run_config(rc: RunConfig, path) -> None:
 
 
 def model_config(rc: RunConfig) -> ModelConfig:
-    return ModelConfig(
-        grid=GridSpec(rc.grid_width, rc.grid_height),
-        layers=rc.layers,
-        hidden_channels=rc.hidden_channels,
-        kernel_size=rc.kernel_size,
-        th=rc.th,
-        n_fixations=rc.n_fixations,
-        sigma=rc.sigma,
-        feature_channels=rc.feature_channels,
-        threshold_mode=rc.threshold_mode,
-        feature_source=rc.feature_source,
-    )
+    return ModelConfig(grid=GridSpec(rc.grid_width, rc.grid_height),
+                       **{f.name: getattr(rc, f.name) for f in HYPER_FIELDS})
 
 
 def loss_config(rc: RunConfig) -> LossConfig:
-    return LossConfig(gamma=rc.gamma, lambda_base=rc.lambda_base,
-                      lambda_slope=rc.lambda_slope, sigma=rc.sigma)
+    return LossConfig(**{f.name: getattr(rc, f.name) for f in fields(LossConfig)})
 
 
 def metric_config(rc: RunConfig) -> MetricConfig:
@@ -179,32 +158,16 @@ def _load_dataset(rc: RunConfig, override_csv=None):
     return load_scanpath_dataset(csv, images_dir=images_dir)
 
 
-def _feature_inputs(rc: RunConfig, model, dataset):
-    """Per-image model inputs: resampled pixels or precomputed tensors."""
-    from .data_io import resample_to_grid
-
-    grid = model.cfg.grid
-    images, features = {}, {}
-    for rec in dataset.images:
-        if rc.feature_source == "trainable":
-            if rec.pixels is None:
-                raise DataError(f"image '{rec.image_id}' has no pixels; set images_dir for the trainable stack")
-            images[rec.image_id] = resample_to_grid(rec.pixels, grid)
-        else:
-            if not rc.features_dir:
-                raise DataError("feature_source=precomputed needs features_dir")
-            arr = read_feature_tensor(Path(rc.features_dir) / f"{rec.image_id}.ftns")
-            expected = (rc.feature_channels, grid.height, grid.width)
-            if arr.shape != expected:
-                raise ConfigMismatchError(f"features for '{rec.image_id}': shape {arr.shape} != {expected}")
-            features[rec.image_id] = arr
-    return images, features
-
-
-def _feature_stack_for(model, rc, image_id, images, features):
-    if rc.feature_source == "trainable":
-        return model.feature_stack(image=images[image_id])
-    return model.feature_stack(precomputed=features[image_id])
+def load_features(rc: RunConfig, image_id: str) -> np.ndarray | None:
+    """<features_dir>/<image_id>.ftns under feature_source=precomputed; None for the trainable stack."""
+    if rc.feature_source != "precomputed":
+        return None
+    if not rc.features_dir:
+        raise DataError("feature_source=precomputed needs features_dir")
+    path = Path(rc.features_dir) / f"{image_id}.ftns"
+    if not path.is_file():
+        raise DataError(f"missing feature file {path}")
+    return read_feature_tensor(path)
 
 
 def _native_path(s: Scanpath, grid: GridSpec, rec) -> Scanpath:
@@ -226,14 +189,7 @@ def cmd_train(args) -> int:
     mcfg = model_config(rc)
     prepared = preprocess(dataset, mcfg.grid, n_fix=rc.n_fixations, sigma=rc.sigma,
                           min_len=rc.min_scanpath_len)
-    features = None
-    if rc.feature_source == "precomputed":
-        if not rc.features_dir:
-            raise DataError("feature_source=precomputed needs features_dir")
-        features = {
-            ex.image_id: read_feature_tensor(Path(rc.features_dir) / f"{ex.image_id}.ftns")
-            for ex in prepared
-        }
+    features = {ex.image_id: load_features(rc, ex.image_id) for ex in prepared}
     cfg = TrainConfig(model=mcfg, loss=loss_config(rc), lr=rc.lr, max_steps=rc.max_steps,
                       checkpoint_every=rc.checkpoint_every, seed=rc.seed,
                       teacher_forcing=rc.teacher_forcing)
@@ -254,12 +210,12 @@ def cmd_predict(args) -> int:
     dataset = _load_dataset(rc, args.dataset)
     out = _prepare_out(args, rc, {"config": args.config, "checkpoint": args.checkpoint,
                                   "dataset": args.dataset or rc.dataset_csv})
-    images, features = _feature_inputs(rc, model, dataset)
     rng = np.random.default_rng(rc.seed)
     grid = model.cfg.grid
+    feats = [model.feature_stack(image=None if rec.pixels is None else resample_to_grid(rec.pixels, grid),
+                                 precomputed=load_features(rc, rec.image_id)) for rec in dataset.images]
     generated = []
-    for rec in dataset.images:
-        feat = _feature_stack_for(model, rc, rec.image_id, images, features)
+    for rec, feat in zip(dataset.images, feats):
         for c in range(args.count):
             path, frames = model.rollout(feat, rng, image_id=rec.image_id,
                                          observer_id=f"model{c:03d}", th=rc.th)
@@ -283,12 +239,12 @@ def cmd_complete(args) -> int:
     dataset = _load_dataset(rc, args.dataset)
     out = _prepare_out(args, rc, {"config": args.config, "checkpoint": args.checkpoint,
                                   "dataset": args.dataset or rc.dataset_csv})
-    images, features = _feature_inputs(rc, model, dataset)
     rng = np.random.default_rng(rc.seed)
     grid = model.cfg.grid
+    feats = [model.feature_stack(image=None if rec.pixels is None else resample_to_grid(rec.pixels, grid),
+                                 precomputed=load_features(rc, rec.image_id)) for rec in dataset.images]
     completions = []
-    for rec in dataset.images:
-        feat = _feature_stack_for(model, rc, rec.image_id, images, features)
+    for rec, feat in zip(dataset.images, feats):
         for s in (p for p in dataset.scanpaths if p.image_id == rec.image_id):
             if s.n < args.prefix_len:
                 continue

@@ -157,8 +157,8 @@ def gaussian_map(p: GazePoint, grid: GridSpec, sigma: float) -> ProbMap:
     The returned map is EPS-smoothed and normalized; its argmax pixel is the
     rounded point.
     """
-    if sigma <= 0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ParameterError(f"sigma must be positive and finite, got {sigma}")
     if not grid.contains(p.x, p.y):
         raise BoundsError(f"point ({p.x}, {p.y}) outside {grid.width}x{grid.height} grid")
     xs = np.arange(grid.width, dtype=np.float64) - p.x
@@ -178,3 +178,18 @@ def map_argmax(m: ProbMap) -> GazePoint:
     flat = int(np.argmax(m.values))
     row, col = divmod(flat, m.grid.width)
     return GazePoint(float(col), float(row))
+
+
+def parse_value(raw: str, kind: str):
+    """A config or checkpoint field's value from its text, by the field's type name.
+
+    kind is one of "int", "float", "str" and "bool"; text the type does not
+    accept raises ValueError.
+    """
+    if kind == "bool":
+        if raw.lower() in ("true", "1", "yes"):
+            return True
+        if raw.lower() in ("false", "0", "no"):
+            return False
+        raise ValueError(f"expected boolean, got '{raw}'")
+    return {"int": int, "float": float, "str": str}[kind](raw)

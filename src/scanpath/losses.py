@@ -87,6 +87,8 @@ def kl_div(p, q):
         pt = pv if isinstance(pv, Tensor) else ad.constant(pv)
         qt = qv if isinstance(qv, Tensor) else ad.constant(qv)
         return ad.tsum(ad.hadamard(pt, ad.sub(ad.tlog(pt), ad.tlog(qt))))
+    if np.any(pv <= 0) or np.any(qv <= 0):
+        raise ParameterError("kl_div needs strictly positive entries")
     return float(np.sum(pv * (np.log(pv) - np.log(qv))))
 
 

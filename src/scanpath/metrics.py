@@ -49,8 +49,10 @@ class MetricConfig:
             raise ParameterError("minimum line length must be >= 2")
         if self.tde_k < 1:
             raise ParameterError("delay-embedding dimension must be >= 1")
-        if self.recurrence_radius is not None and self.recurrence_radius <= 0:
-            raise ParameterError("recurrence radius must be positive")
+        for name in ("recurrence_radius", "image_width", "image_height"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ParameterError(f"{name} must be positive and finite, got {value}")
 
     def resolved(self, *path_groups) -> "MetricConfig":
         """Fill in image dimensions and radius from the data when unset."""

@@ -11,14 +11,15 @@ behaves like one virtual observer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BayesConvParams, Tensor, sample_bayes_kernel
-from .core import EPS, GazePoint, GridSpec, ProbMap, Scanpath, gaussian_map
-from .errors import ConfigMismatchError, DataError, ParameterError, ShapeError
+from .core import EPS, GazePoint, GridSpec, ProbMap, Scanpath, gaussian_map, parse_value
+from .errors import ConfigMismatchError, DataError, FormatError, ParameterError, ShapeError
 from .losses import CenterPrior
 
 GATE_ORDER = ("i", "f", "o", "g")
@@ -47,8 +48,10 @@ class ModelConfig:
             raise ParameterError(f"threshold must be in (0, 1], got {self.th}")
         if self.n_fixations < 1:
             raise ParameterError("n_fixations must be >= 1")
-        if self.sigma <= 0:
-            raise ParameterError("sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ParameterError(f"sigma must be positive and finite, got {self.sigma}")
+        if self.feature_channels < 1:
+            raise ParameterError("feature_channels must be >= 1")
         if self.threshold_mode not in ("relative", "absolute"):
             raise ParameterError(f"unknown threshold mode '{self.threshold_mode}'")
         if self.feature_source not in ("trainable", "precomputed"):
@@ -58,6 +61,13 @@ class ModelConfig:
     def input_channels(self) -> int:
         # image features + previous fixation map + two coordinate planes
         return self.feature_channels + 1 + 2
+
+
+# The checkpoint trailer stores every field but the grid under its own name;
+# the grid is stored as grid_width and grid_height.
+HYPER_FIELDS = tuple(f for f in fields(ModelConfig) if f.name != "grid")
+# Sampling-time knobs, free to differ from the values a checkpoint was trained with.
+SAMPLING_FIELDS = ("th", "threshold_mode")
 
 
 @dataclass
@@ -82,15 +92,6 @@ class LstmState:
     def zeros(cls, cfg: ModelConfig) -> "LstmState":
         shape = (cfg.hidden_channels, cfg.grid.height, cfg.grid.width)
         return cls([(ad.constant(np.zeros(shape)), ad.constant(np.zeros(shape))) for _ in range(cfg.layers)])
-
-
-@dataclass(frozen=True)
-class FeatureStack:
-    """Model input for one image: feature channels plus coordinate planes."""
-
-    features: Tensor  # [F, H, W]
-    coord: Tensor  # [2, H, W]
-    source: str = "trainable-stack"
 
 
 def coord_planes(grid: GridSpec) -> np.ndarray:
@@ -175,11 +176,26 @@ class ScanpathModel:
 
     # -- features -----------------------------------------------------------
 
-    def run_feature_stack(self, image: np.ndarray) -> Tensor:
-        """Three 3x3 convolutions with tanh between them, over a grid-resolution image."""
-        if self.feature_layers is None:
-            raise ParameterError("model was configured for precomputed features")
-        if image.shape != (self.cfg.grid.height, self.cfg.grid.width):
+    def feature_stack(self, image: np.ndarray | None = None,
+                      precomputed: np.ndarray | Tensor | None = None) -> Tensor:
+        """The [F, H, W] feature tensor of one image, from the input cfg.feature_source names.
+
+        The trainable source runs three 3x3 convolutions with tanh between them
+        over a grid-resolution image; the precomputed source takes the tensor
+        as given. The other input is ignored; a missing one raises DataError.
+        """
+        cfg = self.cfg
+        if cfg.feature_source == "precomputed":
+            if precomputed is None:
+                raise DataError("feature_source=precomputed needs a precomputed feature tensor")
+            feats = precomputed if isinstance(precomputed, Tensor) else ad.constant(precomputed)
+            expected = (cfg.feature_channels, cfg.grid.height, cfg.grid.width)
+            if feats.data.shape != expected:
+                raise ConfigMismatchError(f"feature tensor shape {feats.data.shape} != expected {expected}")
+            return feats
+        if image is None:
+            raise DataError("feature_source=trainable needs image pixels")
+        if image.shape != (cfg.grid.height, cfg.grid.width):
             raise ShapeError(f"image shape {image.shape} does not match the grid")
         x = ad.constant(image[None, :, :])
         for j, (kern, bias) in enumerate(self.feature_layers):
@@ -187,20 +203,6 @@ class ScanpathModel:
             if j < len(self.feature_layers) - 1:
                 x = ad.tanh(x)
         return x
-
-    def feature_stack(self, image: np.ndarray | None = None,
-                      precomputed: np.ndarray | Tensor | None = None) -> FeatureStack:
-        """Assemble model input from either a raw image or a precomputed tensor."""
-        if precomputed is not None:
-            feats = precomputed if isinstance(precomputed, Tensor) else ad.constant(precomputed)
-            fshape = feats.data.shape
-            expected = (self.cfg.feature_channels, self.cfg.grid.height, self.cfg.grid.width)
-            if fshape != expected:
-                raise ConfigMismatchError(f"feature tensor shape {fshape} != expected {expected}")
-            return FeatureStack(feats, self._coord, "precomputed-file")
-        if image is None:
-            raise ParameterError("feature_stack needs an image or a precomputed tensor")
-        return FeatureStack(self.run_feature_stack(image), self._coord, "trainable-stack")
 
     # -- stepping -----------------------------------------------------------
 
@@ -238,7 +240,7 @@ class ScanpathModel:
 
     # -- rollouts -----------------------------------------------------------
 
-    def rollout(self, feat: FeatureStack, rng: np.random.Generator,
+    def rollout(self, feat: Tensor, rng: np.random.Generator,
                 prefix: Scanpath | None = None, image_id: str = "",
                 observer_id: str = "model", th: float | None = None):
         """Sample one scanpath; returns it with the per-step probability maps.
@@ -263,7 +265,7 @@ class ScanpathModel:
             current = self.prior.g_c.values
             points, frames = [], []
             for t in range(cfg.n_fixations):
-                x = ad.concat0([feat.features, ad.constant(current[None]), feat.coord])
+                x = ad.concat0([feat, ad.constant(current[None]), self._coord])
                 top = self._run_stack(x, state, sampled)
                 pm = tensor_to_probmap(self._head(top), cfg.grid)
                 frames.append(pm)
@@ -277,7 +279,7 @@ class ScanpathModel:
                 current = gaussian_map(pt, cfg.grid, cfg.sigma).values
         return Scanpath(tuple(points), image_id, observer_id), frames
 
-    def rollout_training(self, feat: FeatureStack, rng: np.random.Generator,
+    def rollout_training(self, feat: Tensor, rng: np.random.Generator,
                          input_maps=None) -> list[Tensor]:
         """Differentiable rollout collecting the per-step map tensors.
 
@@ -292,7 +294,7 @@ class ScanpathModel:
         current = self.prior.g_c.values
         frames = []
         for t in range(cfg.n_fixations):
-            x = ad.concat0([feat.features, ad.constant(current[None]), feat.coord])
+            x = ad.concat0([feat, ad.constant(current[None]), self._coord])
             top = self._run_stack(x, state, sampled)
             tspm = self._head(top)
             frames.append(tspm)
@@ -306,7 +308,7 @@ class ScanpathModel:
                     current = gaussian_map(pt, cfg.grid, cfg.sigma).values
         return frames
 
-    def complete_scanpath(self, feat: FeatureStack, prefix: Scanpath,
+    def complete_scanpath(self, feat: Tensor, prefix: Scanpath,
                           rng: np.random.Generator, th: float | None = None) -> Scanpath:
         """Continue a partial scanpath to full length, keeping the prefix verbatim."""
         if prefix is None or prefix.n < 1:
@@ -374,57 +376,6 @@ def sample_next_point(tspm: ProbMap, th: float, rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
-# feature providers
-
-
-class PrecomputedFeatureProvider:
-    """Serves feature tensors from <dir>/<image_id>.ftns files."""
-
-    source = "precomputed-file"
-
-    def __init__(self, directory, cfg: ModelConfig):
-        from pathlib import Path
-
-        self.directory = Path(directory)
-        self.cfg = cfg
-        self.grid = cfg.grid
-
-    def features(self, image_id: str) -> Tensor:
-        from .data_io import read_feature_tensor
-
-        path = self.directory / f"{image_id}.ftns"
-        if not path.exists():
-            raise DataError(f"missing feature file {path}")
-        arr = read_feature_tensor(path)
-        expected = (self.cfg.feature_channels, self.grid.height, self.grid.width)
-        if arr.shape != expected:
-            raise ConfigMismatchError(f"{path}: feature shape {arr.shape} != expected {expected}")
-        return ad.constant(arr)
-
-
-class TrainableFeatureProvider:
-    """Runs the model's own convolution stack over grid-resolution images."""
-
-    source = "trainable-stack"
-
-    def __init__(self, model: ScanpathModel, images: dict):
-        self.model = model
-        self.images = images
-        self.grid = model.cfg.grid
-
-    def features(self, image_id: str) -> Tensor:
-        if image_id not in self.images:
-            raise DataError(f"no image pixels for '{image_id}'")
-        return self.model.run_feature_stack(self.images[image_id])
-
-
-def build_features(image_id: str, provider) -> FeatureStack:
-    """Assemble the model input for one image from a feature provider."""
-    feats = provider.features(image_id)
-    return FeatureStack(feats, ad.constant(coord_planes(provider.grid)), provider.source)
-
-
-# ---------------------------------------------------------------------------
 # checkpoint glue
 
 
@@ -442,21 +393,10 @@ def model_to_checkpoint(model: ScanpathModel, adam=None, step: int = 0,
         for (name, _), m, v in zip(names, adam.first_moment, adam.second_moment):
             tensors[f"adam.m.{name}"] = m.copy()
             tensors[f"adam.v.{name}"] = v.copy()
-    hyper = {
-        "grid_width": str(cfg.grid.width),
-        "grid_height": str(cfg.grid.height),
-        "layers": str(cfg.layers),
-        "hidden_channels": str(cfg.hidden_channels),
-        "kernel_size": str(cfg.kernel_size),
-        "th": repr(cfg.th),
-        "n_fixations": str(cfg.n_fixations),
-        "sigma": repr(cfg.sigma),
-        "feature_channels": str(cfg.feature_channels),
-        "threshold_mode": cfg.threshold_mode,
-        "feature_source": cfg.feature_source,
-        "step": str(step),
-        "adam_step": str(adam.step if adam is not None else 0),
-    }
+    hyper = {"grid_width": str(cfg.grid.width), "grid_height": str(cfg.grid.height)}
+    hyper.update((f.name, str(getattr(cfg, f.name))) for f in HYPER_FIELDS)
+    hyper["step"] = str(step)
+    hyper["adam_step"] = str(adam.step if adam is not None else 0)
     if rng_state is not None:
         hyper["rng_state"] = str(rng_state["state"]["state"])
         hyper["rng_inc"] = str(rng_state["state"]["inc"])
@@ -466,18 +406,12 @@ def model_to_checkpoint(model: ScanpathModel, adam=None, step: int = 0,
 
 
 def config_from_hyper(hyper: dict) -> ModelConfig:
-    return ModelConfig(
-        grid=GridSpec(int(hyper["grid_width"]), int(hyper["grid_height"])),
-        layers=int(hyper["layers"]),
-        hidden_channels=int(hyper["hidden_channels"]),
-        kernel_size=int(hyper["kernel_size"]),
-        th=float(hyper["th"]),
-        n_fixations=int(hyper["n_fixations"]),
-        sigma=float(hyper["sigma"]),
-        feature_channels=int(hyper["feature_channels"]),
-        threshold_mode=hyper["threshold_mode"],
-        feature_source=hyper["feature_source"],
-    )
+    """The model configuration stored in a checkpoint trailer."""
+    try:
+        grid = GridSpec(int(hyper["grid_width"]), int(hyper["grid_height"]))
+        return ModelConfig(grid=grid, **{f.name: parse_value(hyper[f.name], f.type) for f in HYPER_FIELDS})
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"checkpoint hyperparameters: {exc!r}") from None
 
 
 def model_from_checkpoint(ckpt, expected: ModelConfig | None = None):
@@ -490,13 +424,10 @@ def model_from_checkpoint(ckpt, expected: ModelConfig | None = None):
 
     cfg = config_from_hyper(ckpt.hyper)
     if expected is not None:
-        # th and threshold_mode are sampling-time knobs, free to differ from
-        # the values the checkpoint was trained with
-        arch = ("grid", "layers", "hidden_channels", "kernel_size", "n_fixations",
-                "sigma", "feature_channels", "feature_source")
         diffs = [
-            f"{k}: checkpoint {getattr(cfg, k)} != config {getattr(expected, k)}"
-            for k in arch if getattr(cfg, k) != getattr(expected, k)
+            f"{f.name}: checkpoint {getattr(cfg, f.name)} != config {getattr(expected, f.name)}"
+            for f in fields(ModelConfig)
+            if f.name not in SAMPLING_FIELDS and getattr(cfg, f.name) != getattr(expected, f.name)
         ]
         if diffs:
             raise ConfigMismatchError("checkpoint does not match configuration: " + "; ".join(diffs))

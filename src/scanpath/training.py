@@ -38,6 +38,8 @@ class TrainConfig:
             raise ParameterError(f"learning rate must be positive and finite, got {self.lr}")
         if self.max_steps < 0 or self.checkpoint_every < 0:
             raise ParameterError("step counts must be nonnegative")
+        if self.loss.sigma != self.model.sigma:
+            raise ParameterError(f"loss sigma {self.loss.sigma} != model sigma {self.model.sigma}")
 
 
 @dataclass
@@ -55,19 +57,13 @@ def init_state(cfg: TrainConfig) -> TrainState:
     return TrainState(model=model, adam=AdamState.init(params), rng=rng)
 
 
-def _features_for(model: ScanpathModel, example: PreparedExample, features):
-    if model.cfg.feature_source == "trainable":
-        if example.image is None:
-            raise DataError(f"image '{example.image_id}' has no pixels for the trainable feature stack")
-        return model.feature_stack(image=example.image)
-    if features is None or example.image_id not in features:
-        raise DataError(f"no precomputed features for image '{example.image_id}'")
-    return model.feature_stack(precomputed=features[example.image_id])
-
-
 def train_step(example: PreparedExample, state: TrainState, cfg: TrainConfig,
                features=None) -> float:
-    """One optimizer update on one image; returns the scalar loss."""
+    """One optimizer update on one image; returns the scalar loss.
+
+    features maps image ids to precomputed feature tensors; the trainable
+    stack reads the example's pixels instead.
+    """
     if not example.scanpaths:
         raise DataError(f"image '{example.image_id}' has no scanpaths")
     model = state.model
@@ -75,7 +71,7 @@ def train_step(example: PreparedExample, state: TrainState, cfg: TrainConfig,
 
     anchor_idx = int(state.rng.integers(len(example.scanpaths)))
     anchor_maps = example.spatialized[anchor_idx].maps[: n_fix - 1]
-    feat = _features_for(model, example, features)
+    feat = model.feature_stack(image=example.image, precomputed=(features or {}).get(example.image_id))
     frames = model.rollout_training(
         feat, state.rng, input_maps=anchor_maps if cfg.teacher_forcing else None
     )
@@ -123,6 +119,10 @@ def train(prepared: list[PreparedExample], cfg: TrainConfig, out_dir,
         state = TrainState(model=model, adam=adam, rng=rng, step=step)
     else:
         state = init_state(cfg)
+    with ad.no_grad():  # a missing or misshapen feature input fails before any checkpoint is written
+        for ex in prepared:
+            state.model.feature_stack(image=ex.image, precomputed=(features or {}).get(ex.image_id))
+    if resume_from is None:
         write_checkpoint(out / "checkpoint_000000.spck", _checkpoint(state))
 
     n = len(prepared)

@@ -3,7 +3,7 @@ import pytest
 
 from scanpath.cli import main
 from scanpath.core import GazePoint, GridSpec, gaussian_map
-from scanpath.data_io import load_scanpath_dataset, read_pgm, write_pgm
+from scanpath.data_io import load_scanpath_dataset, read_pgm, write_feature_tensor, write_pgm
 from scanpath.metrics import METRIC_ORDER
 
 
@@ -204,3 +204,52 @@ def test_th_sweep_flag(tmp_path, workspace):
                      "--checkpoint", str(ckpt), "--count", "2", "--seed", "5", "--th", th]) == 0
         echoed = (out / "config.txt").read_text()
         assert f"th={float(th)}" in echoed
+
+
+def write_features(directory, shape):
+    directory.mkdir()
+    rng = np.random.default_rng(0)
+    for image_id in ("synth000", "synth001"):
+        write_feature_tensor(directory / f"{image_id}.ftns", rng.standard_normal(shape))
+    return str(directory)
+
+
+def precomputed_cfg(path, workspace, features_dir):
+    return str(write_cfg(path, dataset_csv=str(workspace["data"] / "dataset.csv"),
+                         feature_source="precomputed", features_dir=features_dir))
+
+
+def test_precomputed_features_train_predict_complete(tmp_path, workspace):
+    cfg = precomputed_cfg(tmp_path / "pc.cfg", workspace, write_features(tmp_path / "f", (2, 16, 16)))
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "t")]) == 0
+    ckpt = str(tmp_path / "t" / "checkpoint_final.spck")
+    assert main(["predict", "--config", cfg, "--out", str(tmp_path / "p"), "--checkpoint", ckpt,
+                 "--count", "2"]) == 0
+    assert len(load_scanpath_dataset(tmp_path / "p" / "predicted.csv").scanpaths) == 2 * 2
+    assert main(["complete", "--config", cfg, "--out", str(tmp_path / "c"), "--checkpoint", ckpt,
+                 "--prefix-len", "2", "--repeats", "1"]) == 0
+    assert len(load_scanpath_dataset(tmp_path / "c" / "completions.csv").scanpaths) == 2 * 3
+
+    (tmp_path / "empty").mkdir()
+    bad = {"no_dir": "", "no_file": str(tmp_path / "empty"),
+           "shape": write_features(tmp_path / "w", (3, 16, 16))}
+    for name, features_dir in bad.items():
+        bad_cfg = precomputed_cfg(tmp_path / f"{name}.cfg", workspace, features_dir)
+        assert main(["predict", "--config", bad_cfg, "--out", str(tmp_path / f"p_{name}"),
+                     "--checkpoint", ckpt, "--count", "1"]) == 2, name
+        assert main(["complete", "--config", bad_cfg, "--out", str(tmp_path / f"c_{name}"),
+                     "--checkpoint", ckpt, "--prefix-len", "2", "--repeats", "1"]) == 2, name
+
+
+@pytest.mark.parametrize("case", ["no_images_dir", "no_features_dir", "no_feature_file", "feature_shape"])
+def test_train_rejects_bad_feature_input_before_any_checkpoint(tmp_path, workspace, case):
+    if case == "no_images_dir":
+        cfg = str(write_cfg(tmp_path / "t.cfg", dataset_csv=str(workspace["data"] / "dataset.csv")))
+    else:
+        (tmp_path / "empty").mkdir()
+        features_dir = {"no_features_dir": "", "no_feature_file": str(tmp_path / "empty"),
+                        "feature_shape": write_features(tmp_path / "w", (2, 8, 8))}[case]
+        cfg = precomputed_cfg(tmp_path / "t.cfg", workspace, features_dir)
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert not list(out.glob("*.spck"))

@@ -15,6 +15,8 @@ from scanpath.core import (
     spatialize,
 )
 from scanpath.errors import BoundsError, ParameterError
+from scanpath.metrics import MetricConfig
+from scanpath.model import ModelConfig
 
 
 def direct_gaussian(px, py, grid, sigma):
@@ -145,3 +147,20 @@ def test_grid_and_scanpath_invariants():
     s = Scanpath((GazePoint(1, 2, 0), GazePoint(3, 4, 1)), "img", "obs")
     assert s.n == 2
     assert s.coords().shape == (2, 2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ModelConfig(grid=GridSpec(8, 8), sigma=math.nan),
+    lambda: ModelConfig(grid=GridSpec(8, 8), sigma=math.inf),
+    lambda: ModelConfig(grid=GridSpec(8, 8), feature_channels=0),
+    lambda: gaussian_map(GazePoint(1, 1), GridSpec(8, 8), math.inf),
+    lambda: gaussian_map(GazePoint(1, 1), GridSpec(8, 8), math.nan),
+    lambda: MetricConfig(recurrence_radius=math.nan),
+    lambda: MetricConfig(recurrence_radius=math.inf),
+    lambda: MetricConfig(image_width=math.nan),
+    lambda: MetricConfig(image_width=-3),
+], ids=["model_sigma_nan", "model_sigma_inf", "feature_channels_0", "gaussian_sigma_inf",
+        "gaussian_sigma_nan", "radius_nan", "radius_inf", "image_width_nan", "image_width_neg"])
+def test_rejects_nonfinite_and_out_of_range(make):
+    with pytest.raises(ParameterError):
+        make()

@@ -156,6 +156,14 @@ def test_kl_div_shape_mismatch():
         kl_div(np.ones(3) / 3, np.ones(4) / 4)
 
 
+@pytest.mark.parametrize("p, q", [([0.0, 1.0], [0.5, 0.5]), ([0.5, 0.5], [0.0, 1.0])])
+def test_kl_div_rejects_nonpositive_entries(p, q):
+    p, q = np.array(p), np.array(q)
+    for args in ((p, q), (ad.constant(p), ad.constant(q))):
+        with pytest.raises(ParameterError):
+            kl_div(*args)
+
+
 # ---------------------------------------------------------------------------
 # soft_min / soft_dtw
 

@@ -1,17 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from scanpath import autodiff as ad
 from scanpath.autodiff import sample_bayes_kernel
+from scanpath.cli import RunConfig, load_features
 from scanpath.core import EPS, GazePoint, GridSpec, ProbMap, Scanpath, gaussian_map, map_argmax
 from scanpath.data_io import read_checkpoint, write_checkpoint, write_feature_tensor
-from scanpath.errors import ConfigMismatchError, DataError, ParameterError
+from scanpath.errors import ConfigMismatchError, DataError, FormatError, ParameterError
 from scanpath.model import (
     GATE_ORDER,
     ModelConfig,
-    PrecomputedFeatureProvider,
     ScanpathModel,
-    build_features,
+    config_from_hyper,
     convlstm_step,
     coord_planes,
     model_from_checkpoint,
@@ -50,28 +52,30 @@ def test_coord_planes_3x3():
 
 
 def test_precomputed_feature_round_trip(tmp_path):
-    cfg = tiny_cfg()
+    model = ScanpathModel.create(tiny_cfg(), np.random.default_rng(0))
+    rc = RunConfig(feature_source="precomputed", features_dir=str(tmp_path))
     rng = np.random.default_rng(0)
     arr = rng.standard_normal((1, 8, 8))
     write_feature_tensor(tmp_path / "imgA.ftns", arr)
-    provider = PrecomputedFeatureProvider(tmp_path, cfg)
-    stack = build_features("imgA", provider)
-    assert np.array_equal(stack.features.data, arr)
-    assert stack.source == "precomputed-file"
+    assert np.array_equal(model.feature_stack(precomputed=load_features(rc, "imgA")).data, arr)
     with pytest.raises(DataError):
-        build_features("missing", provider)
+        load_features(rc, "missing")
+    with pytest.raises(DataError):  # the precomputed source ignores pixels
+        model.feature_stack(image=np.zeros((8, 8)))
 
     write_feature_tensor(tmp_path / "imgB.ftns", rng.standard_normal((3, 8, 8)))
     with pytest.raises(ConfigMismatchError):
-        provider.features("imgB")
+        model.feature_stack(precomputed=load_features(rc, "imgB"))
 
 
 def test_trainable_stack_zero_image_gives_zero_features():
     cfg = tiny_cfg(feature_source="trainable", feature_channels=2)
     model = ScanpathModel.create(cfg, np.random.default_rng(1))
-    feats = model.run_feature_stack(np.zeros((8, 8)))
+    feats = model.feature_stack(image=np.zeros((8, 8)))
     assert np.allclose(feats.data, 0.0)
     assert feats.data.shape == (2, 8, 8)
+    with pytest.raises(DataError):  # the trainable source ignores a precomputed tensor
+        model.feature_stack(precomputed=np.zeros((2, 8, 8)))
 
 
 def test_convlstm_step_all_zero_weights():
@@ -153,7 +157,7 @@ def test_model_rollout_matches_per_gate_stepping():
     state = [(ad.constant(np.zeros((3, 8, 8))), ad.constant(np.zeros((3, 8, 8)))) for _ in range(2)]
     current = model.prior.g_c.values
     for t in range(3):
-        x = ad.concat0([feat.features, ad.constant(current[None]), ad.constant(coord_planes(cfg.grid))])
+        x = ad.concat0([feat, ad.constant(current[None]), ad.constant(coord_planes(cfg.grid))])
         for l in range(2):
             h, c = convlstm_step(x, state[l][0], state[l][1], sampled[l])
             state[l] = (h, c)
@@ -348,6 +352,27 @@ def test_checkpoint_round_trip_and_mismatch(tmp_path):
     other = tiny_cfg(layers=2, hidden_channels=5, feature_source="trainable", feature_channels=2)
     with pytest.raises(ConfigMismatchError, match="hidden_channels"):
         model_from_checkpoint(read_checkpoint(path), expected=other)
+    with pytest.raises(ConfigMismatchError, match="sigma"):
+        model_from_checkpoint(read_checkpoint(path), expected=replace(cfg, sigma=2.0))
+    # sampling-time knobs may differ from the checkpoint
+    model_from_checkpoint(read_checkpoint(path), expected=replace(cfg, th=0.3, threshold_mode="absolute"))
+
+
+def test_checkpoint_trailer_pins_every_model_key():
+    cfg = ModelConfig(grid=GridSpec(6, 5), layers=3, hidden_channels=2, kernel_size=5, th=0.25,
+                      n_fixations=4, sigma=1.25, feature_channels=3, threshold_mode="absolute",
+                      feature_source="precomputed")
+    hyper = model_to_checkpoint(ScanpathModel.create(cfg, np.random.default_rng(0)), step=7).hyper
+    assert list(hyper.items()) == [
+        ("grid_width", "6"), ("grid_height", "5"), ("layers", "3"), ("hidden_channels", "2"),
+        ("kernel_size", "5"), ("th", "0.25"), ("n_fixations", "4"), ("sigma", "1.25"),
+        ("feature_channels", "3"), ("threshold_mode", "absolute"), ("feature_source", "precomputed"),
+        ("step", "7"), ("adam_step", "0"),
+    ]
+    assert config_from_hyper(hyper) == cfg
+    for bad in ({**hyper, "layers": "three"}, {k: v for k, v in hyper.items() if k != "sigma"}):
+        with pytest.raises(FormatError):
+            config_from_hyper(bad)
 
 
 def test_tensor_to_probmap_floors_at_eps():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,13 @@ def test_train_config_rejects_bad_learning_rate(lr):
     _, cfg = toy_setup()
     with pytest.raises(ParameterError):
         TrainConfig(model=cfg.model, loss=cfg.loss, lr=lr)
+
+
+def test_train_config_rejects_sigma_disagreement():
+    # the loss's center prior and the model's fixation maps must use one width
+    _, cfg = toy_setup()
+    with pytest.raises(ParameterError, match="sigma"):
+        TrainConfig(model=cfg.model, loss=replace(cfg.loss, sigma=3.0))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")
