@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import GazePoint, GridSpec, Scanpath, gaussian_map, parse_value
+from .core import GazePoint, GridSpec, Scanpath, gaussian_map, group_by_image, parse_value
 from .data_io import (
     load_scanpath_dataset,
     preprocess,
@@ -82,20 +82,24 @@ class RunConfig:
 def load_run_config(path) -> RunConfig:
     known = {f.name: f.type for f in fields(RunConfig)}
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected key=value, got '{line}'")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in known:
-                raise DataError(f"{path}:{lineno}: unknown config key '{key}'")
-            try:
-                values[key] = parse_value(raw, known[key])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{lineno}: expected key=value, got '{line}'")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in known:
+            raise DataError(f"{path}:{lineno}: unknown config key '{key}'")
+        try:
+            values[key] = parse_value(raw, known[key])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
     return RunConfig(**values)
 
 
@@ -115,14 +119,16 @@ def loss_config(rc: RunConfig) -> LossConfig:
 
 
 def metric_config(rc: RunConfig) -> MetricConfig:
+    """0 leaves recurrence_radius, image_width and image_height to be inferred from the data;
+    MetricConfig rejects any other nonpositive or non-finite value."""
     return MetricConfig(
         bin_cols=rc.bin_cols,
         bin_rows=rc.bin_rows,
-        recurrence_radius=rc.recurrence_radius if rc.recurrence_radius > 0 else None,
+        recurrence_radius=rc.recurrence_radius if rc.recurrence_radius != 0 else None,
         min_line=rc.min_line,
         tde_k=rc.tde_k,
-        image_width=rc.image_width if rc.image_width > 0 else None,
-        image_height=rc.image_height if rc.image_height > 0 else None,
+        image_width=rc.image_width if rc.image_width != 0 else None,
+        image_height=rc.image_height if rc.image_height != 0 else None,
     )
 
 
@@ -243,9 +249,10 @@ def cmd_complete(args) -> int:
     grid = model.cfg.grid
     feats = [model.feature_stack(image=None if rec.pixels is None else resample_to_grid(rec.pixels, grid),
                                  precomputed=load_features(rc, rec.image_id)) for rec in dataset.images]
+    by_image = group_by_image(dataset.scanpaths)
     completions = []
     for rec, feat in zip(dataset.images, feats):
-        for s in (p for p in dataset.scanpaths if p.image_id == rec.image_id):
+        for s in by_image[rec.image_id]:
             if s.n < args.prefix_len:
                 continue
             prefix_pts = []
@@ -276,12 +283,9 @@ def cmd_evaluate(args) -> int:
         write_report_csv(human_baseline(truth, cfg), out / "human_baseline.csv")
         rng = np.random.default_rng(rc.seed)
         grid = GridSpec(int(np.ceil(cfg.image_width)), int(np.ceil(cfg.image_height)))
-        per_image = {}
-        for s in predicted:
-            per_image[s.image_id] = per_image.get(s.image_id, 0) + 1
         rand = []
-        for image_id, count in per_image.items():
-            rand.extend(random_baseline(grid, rc.n_fixations, count, rng, image_id=image_id))
+        for image_id, paths in group_by_image(predicted).items():
+            rand.extend(random_baseline(grid, rc.n_fixations, len(paths), rng, image_id=image_id))
         write_report_csv(evaluate_set(rand, truth, cfg), out / "random_baseline.csv")
     print(f"wrote {out / 'report.csv'}")
     return 0
@@ -302,9 +306,9 @@ def cmd_saliency(args) -> int:
     dataset = _load_dataset(rc, args.scanpaths)
     out = _prepare_out(args, rc, {"config": args.config, "scanpaths": args.scanpaths or rc.dataset_csv})
     grid = GridSpec(rc.grid_width, rc.grid_height)
+    by_image = group_by_image(dataset.scanpaths)
     for rec in dataset.images:
-        paths = [s for s in dataset.scanpaths if s.image_id == rec.image_id]
-        heat = aggregate_heatmap(paths, grid, rc.sigma, rec.width, rec.height)
+        heat = aggregate_heatmap(by_image[rec.image_id], grid, rc.sigma, rec.width, rec.height)
         img = np.round(heat / heat.max() * 255.0).astype(np.uint8)
         write_pgm(out / f"{rec.image_id}.pgm", img)
     print(f"wrote {len(dataset.images)} heatmaps to {out}")

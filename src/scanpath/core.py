@@ -32,14 +32,6 @@ class GridSpec:
         if self.width * self.height < 4:
             raise ParameterError("grid must contain at least 4 pixels")
 
-    @property
-    def n_pixels(self) -> int:
-        return self.width * self.height
-
-    @property
-    def diagonal(self) -> float:
-        return math.hypot(self.width, self.height)
-
     def contains(self, x: float, y: float) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
 
@@ -81,6 +73,14 @@ class Scanpath:
     def coords(self) -> np.ndarray:
         """(N, 2) array of (x, y) rows."""
         return np.array([(p.x, p.y) for p in self.points], dtype=np.float64)
+
+
+def group_by_image(scanpaths) -> dict[str, list[Scanpath]]:
+    """Scanpaths per image_id: images in first-seen order, each image's paths in input order."""
+    out: dict[str, list[Scanpath]] = {}
+    for s in scanpaths:
+        out.setdefault(s.image_id, []).append(s)
+    return out
 
 
 def nearest_pixel(v: float, limit: int) -> int:

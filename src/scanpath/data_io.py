@@ -16,10 +16,11 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .core import GazePoint, GridSpec, Scanpath, SpatializedScanpath, spatialize
+from .core import GazePoint, GridSpec, Scanpath, SpatializedScanpath, group_by_image, spatialize
 from .errors import DataError, FormatError, ParameterError
 
 SCANPATH_CSV_HEADER = "image_id,observer_id,fix_index,x,y"
@@ -40,23 +41,17 @@ class ImageRecord:
 class Dataset:
     images: list[ImageRecord]
     scanpaths: list[Scanpath]
-    split: str = "test"
-
-    def image(self, image_id: str) -> ImageRecord:
-        for rec in self.images:
-            if rec.image_id == image_id:
-                return rec
-        raise DataError(f"unknown image '{image_id}'")
-
-    def paths_by_image(self) -> dict[str, list[Scanpath]]:
-        out: dict[str, list[Scanpath]] = {}
-        for s in self.scanpaths:
-            out.setdefault(s.image_id, []).append(s)
-        return out
 
 
 # ---------------------------------------------------------------------------
 # scanpath CSV
+
+
+def _utf8(raw: bytes, path) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8: {exc}") from None
 
 
 def save_scanpath_csv(scanpaths, path) -> None:
@@ -68,15 +63,15 @@ def save_scanpath_csv(scanpaths, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_scanpath_dataset(path, images_dir=None, split="test") -> Dataset:
+def load_scanpath_dataset(path, images_dir=None) -> Dataset:
     """Parse the scanpath CSV, grouping contiguous fix_index runs into scanpaths.
 
     When images_dir is given, every image_id must resolve to
     images_dir/<image_id>.pgm, which supplies native dimensions and pixels;
     otherwise dimensions are inferred from the largest coordinates seen.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        lines = _utf8(fh.read(), path).splitlines()
     if not lines or lines[0].strip() != SCANPATH_CSV_HEADER:
         raise FormatError(f"{path}: missing or wrong header, expected '{SCANPATH_CSV_HEADER}'")
 
@@ -116,31 +111,18 @@ def load_scanpath_dataset(path, images_dir=None, split="test") -> Dataset:
         current.append(GazePoint(x, y, idx))
     flush()
 
-    seen: list[str] = []
-    for s in scanpaths:
-        if s.image_id not in seen:
-            seen.append(s.image_id)
-
     images = []
-    if images_dir is not None:
-        from pathlib import Path
-
-        for image_id in seen:
+    for image_id, paths in group_by_image(scanpaths).items():
+        if images_dir is not None:
             pgm = Path(images_dir) / f"{image_id}.pgm"
             if not pgm.exists():
                 raise DataError(f"unknown image_id '{image_id}': no {pgm}")
             pixels = read_pgm(pgm)
             images.append(ImageRecord(image_id, pixels.shape[1], pixels.shape[0], pixels))
-    else:
-        by_image: dict[str, tuple[float, float]] = {}
-        for s in scanpaths:
-            c = s.coords()
-            mx, my = by_image.get(s.image_id, (0.0, 0.0))
-            by_image[s.image_id] = (max(mx, float(c[:, 0].max())), max(my, float(c[:, 1].max())))
-        for image_id in seen:
-            mx, my = by_image[image_id]
+        else:
+            mx, my = np.concatenate([s.coords() for s in paths]).max(axis=0)
             images.append(ImageRecord(image_id, math.floor(mx) + 1, math.floor(my) + 1, None))
-    return Dataset(images=images, scanpaths=scanpaths, split=split)
+    return Dataset(images=images, scanpaths=scanpaths)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +167,7 @@ def preprocess(dataset: Dataset, grid: GridSpec, n_fix: int = 8, sigma: float = 
     Scanpaths shorter than min_len are discarded; longer-than-n_fix paths are
     truncated and shorter ones padded by repeating the last fixation.
     """
-    by_image = dataset.paths_by_image()
+    by_image = group_by_image(dataset.scanpaths)
     out = []
     for rec in dataset.images:
         kept = []
@@ -269,7 +251,7 @@ def synth_dataset(n_images: int, observers_per_image: int, roi_per_image: int,
                 fy = float(np.clip(ry + rng.normal(0.0, noise), 0, h - 1e-6))
                 pts.append(GazePoint(fx, fy, idx))
             scanpaths.append(Scanpath(tuple(pts), image_id, f"obs{o:02d}"))
-    return Dataset(images=images, scanpaths=scanpaths, split="train")
+    return Dataset(images=images, scanpaths=scanpaths)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +260,8 @@ def synth_dataset(n_images: int, observers_per_image: int, roi_per_image: int,
 
 def write_pgm(path, pixels: np.ndarray) -> None:
     pixels = np.asarray(pixels)
-    if pixels.ndim != 2 or pixels.dtype != np.uint8:
-        raise ParameterError("write_pgm expects a 2-D uint8 array")
+    if pixels.ndim != 2 or pixels.dtype != np.uint8 or 0 in pixels.shape:
+        raise ParameterError("write_pgm expects a nonempty 2-D uint8 array")
     h, w = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
@@ -312,6 +294,8 @@ def read_pgm(path) -> np.ndarray:
         w, h, maxval = (int(t) for t in tokens)
     except ValueError:
         raise FormatError(f"{path}: malformed PGM header") from None
+    if w < 1 or h < 1:
+        raise FormatError(f"{path}: PGM dimensions must be positive, got {w}x{h}")
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
     body = data[pos:pos + w * h]
@@ -350,7 +334,7 @@ def read_feature_tensor(path) -> np.ndarray:
     dims = struct.unpack(f"<{rank}I", data[8:8 + 4 * rank])
     if any(d == 0 for d in dims):
         raise FormatError(f"{path}: zero-sized dimension")
-    n = int(np.prod(dims))
+    n = math.prod(dims)
     body = data[8 + 4 * rank:]
     if len(body) != 8 * n:
         raise FormatError(f"{path}: payload is {len(body)} bytes, expected {8 * n}")
@@ -411,21 +395,24 @@ def read_checkpoint(path) -> Checkpoint:
         raw, pos = take(4, pos)
         name_len = struct.unpack("<I", raw)[0]
         raw, pos = take(name_len, pos)
-        name = raw.decode("utf-8")
+        name = _utf8(raw, path)
         raw, pos = take(4, pos)
         rank = struct.unpack("<I", raw)[0]
         dims = ()
         if rank:
             raw, pos = take(4 * rank, pos)
             dims = struct.unpack(f"<{rank}I", raw)
-        n = int(np.prod(dims)) if rank else 1
+        n = math.prod(dims)
         raw, pos = take(8 * n, pos)
-        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+        try:  # an empty tensor may still name more dims, or larger ones, than numpy holds
+            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+        except ValueError:
+            raise FormatError(f"{path}: tensor '{name}' has unsupported shape {dims}") from None
     raw, pos = take(4, pos)
     trailer_len = struct.unpack("<I", raw)[0]
     raw, pos = take(trailer_len, pos)
     hyper: dict[str, str] = {}
-    for line in raw.decode("utf-8").splitlines():
+    for line in _utf8(raw, path).splitlines():
         if not line:
             continue
         if "=" not in line:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import GazePoint, GridSpec, Scanpath
+from .core import GazePoint, GridSpec, Scanpath, group_by_image
 from .errors import DataError, ParameterError
 
 METRIC_ORDER = ("LEV", "SCAM", "HAU", "FRE", "fDTW", "TDE", "REC", "DET", "LAM", "CORM")
@@ -160,31 +160,26 @@ def string_metrics(a: Scanpath, b: Scanpath, cfg: MetricConfig) -> tuple[float, 
     return lev, scam
 
 
-def _directed_hausdorff(pa: np.ndarray, pb: np.ndarray) -> float:
-    d = np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2))
-    return float(d.min(axis=1).max())
+def _distances(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Euclidean distance between every row of pa and every row of pb."""
+    return np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2))
 
 
 def curve_metrics(a: Scanpath, b: Scanpath) -> tuple[float, float]:
     """HAU: symmetric Hausdorff distance. FRE: discrete Frechet distance."""
     _require_nonempty(a, b)
-    pa, pb = a.coords(), b.coords()
-    hau = max(_directed_hausdorff(pa, pb), _directed_hausdorff(pb, pa))
+    d = _distances(a.coords(), b.coords())
+    hau = float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
-    n, m = len(pa), len(pb)
-    d = np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2))
-    ca = np.zeros((n, m))
+    # an infinite border and a 0 corner: the first row and column take their
+    # single predecessor and cell (0, 0) its own distance
+    n, m = d.shape
+    ca = np.full((n + 1, m + 1), np.inf)
+    ca[0, 0] = 0.0
     for i in range(n):
         for j in range(m):
-            if i == 0 and j == 0:
-                ca[i, j] = d[0, 0]
-            elif i == 0:
-                ca[i, j] = max(ca[0, j - 1], d[i, j])
-            elif j == 0:
-                ca[i, j] = max(ca[i - 1, 0], d[i, j])
-            else:
-                ca[i, j] = max(min(ca[i - 1, j], ca[i - 1, j - 1], ca[i, j - 1]), d[i, j])
-    return hau, float(ca[n - 1, m - 1])
+            ca[i + 1, j + 1] = max(min(ca[i, j + 1], ca[i, j], ca[i + 1, j]), d[i, j])
+    return hau, float(ca[n, m])
 
 
 def hard_dtw(delta: np.ndarray) -> float:
@@ -192,22 +187,15 @@ def hard_dtw(delta: np.ndarray) -> float:
     delta = np.asarray(delta, dtype=np.float64)
     if delta.ndim != 2 or delta.size == 0:
         raise ParameterError("hard_dtw needs a nonempty 2-D cost matrix")
+    if not np.isfinite(delta).all():
+        raise ParameterError("hard_dtw needs finite costs")
     n, m = delta.shape
-    R = np.full((n, m), np.inf)
+    R = np.full((n + 1, m + 1), np.inf)
+    R[0, 0] = 0.0
     for i in range(n):
         for j in range(m):
-            best = 0.0
-            if i > 0 or j > 0:
-                cands = []
-                if i > 0:
-                    cands.append(R[i - 1, j])
-                if j > 0:
-                    cands.append(R[i, j - 1])
-                if i > 0 and j > 0:
-                    cands.append(R[i - 1, j - 1])
-                best = min(cands)
-            R[i, j] = delta[i, j] + best
-    return float(R[n - 1, m - 1])
+            R[i + 1, j + 1] = delta[i, j] + min(R[i, j + 1], R[i + 1, j], R[i, j])
+    return float(R[n, m])
 
 
 def series_metrics(a: Scanpath, b: Scanpath, cfg: MetricConfig) -> tuple[float, float | None]:
@@ -218,31 +206,30 @@ def series_metrics(a: Scanpath, b: Scanpath, cfg: MetricConfig) -> tuple[float, 
     """
     _require_nonempty(a, b)
     pa, pb = a.coords(), b.coords()
-    d = np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2))
-    fdtw = hard_dtw(d)
+    fdtw = hard_dtw(_distances(pa, pb))
 
     k = cfg.tde_k
     if len(pa) < k or len(pb) < k:
         return fdtw, None
     wa = np.array([pa[i:i + k].reshape(-1) for i in range(len(pa) - k + 1)])
     wb = np.array([pb[j:j + k].reshape(-1) for j in range(len(pb) - k + 1)])
-    dw = np.sqrt(((wa[:, None, :] - wb[None, :, :]) ** 2).sum(axis=2))
-    tde = float(dw.min(axis=1).mean())
+    tde = float(_distances(wa, wb).min(axis=1).mean())
     return fdtw, tde
 
 
-def _mark_runs(line: np.ndarray, min_len: int) -> np.ndarray:
-    """Boolean mask of positions belonging to a run of ones of length >= min_len."""
-    marks = np.zeros(len(line), dtype=bool)
-    start = None
-    for idx, v in enumerate(line):
-        if v and start is None:
-            start = idx
-        if (not v or idx == len(line) - 1) and start is not None:
-            end = idx + 1 if v else idx
-            if end - start >= min_len:
-                marks[start:end] = True
-            start = None
+def _run_marks(R: np.ndarray, di: int, dj: int, min_line: int) -> np.ndarray:
+    """Cells of R on a run of at least min_line ones along the step (di, dj).
+
+    A run starts wherever min_line shifted copies of R are all one; every cell
+    of such a window is on the run.
+    """
+    n, m = R.shape
+    h, w = max(n - (min_line - 1) * di, 0), max(m - (min_line - 1) * dj, 0)
+    windows = [(slice(t * di, t * di + h), slice(t * dj, t * dj + w)) for t in range(min_line)]
+    starts = np.logical_and.reduce([R[win] for win in windows])
+    marks = np.zeros_like(R)
+    for win in windows:
+        marks[win] |= starts
     return marks
 
 
@@ -256,9 +243,7 @@ def recurrence_metrics(a: Scanpath, b: Scanpath, cfg: MetricConfig):
     """
     _require_nonempty(a, b)
     cfg = cfg.resolved([a], [b])
-    pa, pb = a.coords(), b.coords()
-    d = np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2))
-    R = d <= cfg.recurrence_radius
+    R = _distances(a.coords(), b.coords()) <= cfg.recurrence_radius
     n, m = R.shape
     C = int(R.sum())
     if C == 0:
@@ -266,18 +251,8 @@ def recurrence_metrics(a: Scanpath, b: Scanpath, cfg: MetricConfig):
 
     rec = 100.0 * C / (n * m)
 
-    diag_marks = np.zeros_like(R, dtype=bool)
-    for off in range(-(n - 1), m):
-        idx_i = np.arange(max(0, -off), min(n, m - off))
-        line = R[idx_i, idx_i + off]
-        diag_marks[idx_i, idx_i + off] = _mark_runs(line, cfg.min_line)
-    det = 100.0 * diag_marks.sum() / C
-
-    hv_marks = np.zeros_like(R, dtype=bool)
-    for i in range(n):
-        hv_marks[i] |= _mark_runs(R[i], cfg.min_line)
-    for j in range(m):
-        hv_marks[:, j] |= _mark_runs(R[:, j], cfg.min_line)
+    det = 100.0 * _run_marks(R, 1, 1, cfg.min_line).sum() / C
+    hv_marks = _run_marks(R, 0, 1, cfg.min_line) | _run_marks(R, 1, 0, cfg.min_line)
     lam = 100.0 * hv_marks.sum() / C
 
     if m == 1:
@@ -299,18 +274,15 @@ def all_metrics(a: Scanpath, b: Scanpath, cfg: MetricConfig) -> dict:
     }
 
 
-def _aggregate(values_per_metric: dict) -> MetricReport:
+def _report(pairs, cfg: MetricConfig) -> MetricReport:
+    """Mean and standard deviation of every metric over the (a, b) pairs; undefined values are left out."""
+    scores = [all_metrics(a, b, cfg) for a, b in pairs]
     means, stds, counts = {}, {}, {}
     for metric in METRIC_ORDER:
-        vals = [v for v in values_per_metric[metric] if v is not None]
+        vals = np.array([s[metric] for s in scores if s[metric] is not None], dtype=np.float64)
         counts[metric] = len(vals)
-        if vals:
-            arr = np.asarray(vals, dtype=np.float64)
-            means[metric] = float(arr.mean())
-            stds[metric] = float(arr.std())
-        else:
-            means[metric] = float("nan")
-            stds[metric] = float("nan")
+        means[metric] = float(vals.mean()) if len(vals) else float("nan")
+        stds[metric] = float(vals.std()) if len(vals) else float("nan")
     return MetricReport(means=means, stds=stds, n_pairs=counts)
 
 
@@ -320,19 +292,11 @@ def evaluate_set(predicted, ground_truth, cfg: MetricConfig) -> MetricReport:
     if not predicted or not ground_truth:
         raise ParameterError("evaluate_set needs nonempty scanpath lists")
     cfg = cfg.resolved(predicted, ground_truth)
-    by_image: dict[str, list[Scanpath]] = {}
-    for s in ground_truth:
-        by_image.setdefault(s.image_id, []).append(s)
-
-    values = {metric: [] for metric in METRIC_ORDER}
+    by_image = group_by_image(ground_truth)
     for p in predicted:
         if p.image_id not in by_image:
             raise DataError(f"no ground truth for image '{p.image_id}'")
-        for g in by_image[p.image_id]:
-            pair = all_metrics(p, g, cfg)
-            for metric in METRIC_ORDER:
-                values[metric].append(pair[metric])
-    return _aggregate(values)
+    return _report(((p, g) for p in predicted for g in by_image[p.image_id]), cfg)
 
 
 def human_baseline(ground_truth, cfg: MetricConfig) -> MetricReport:
@@ -341,27 +305,15 @@ def human_baseline(ground_truth, cfg: MetricConfig) -> MetricReport:
     if not ground_truth:
         raise ParameterError("human_baseline needs scanpaths")
     cfg = cfg.resolved(ground_truth)
-    by_image: dict[str, list[Scanpath]] = {}
-    for s in ground_truth:
-        by_image.setdefault(s.image_id, []).append(s)
-
-    values = {metric: [] for metric in METRIC_ORDER}
-    usable = 0
-    for image_id, paths in by_image.items():
+    pairs = []
+    for image_id, paths in group_by_image(ground_truth).items():
         if len(paths) < 2:
             warnings.warn(f"image '{image_id}' has a single scanpath; excluded from human baseline")
             continue
-        usable += 1
-        for i, p in enumerate(paths):
-            for j, g in enumerate(paths):
-                if i == j:
-                    continue
-                pair = all_metrics(p, g, cfg)
-                for metric in METRIC_ORDER:
-                    values[metric].append(pair[metric])
-    if usable == 0:
+        pairs += [(p, g) for i, p in enumerate(paths) for j, g in enumerate(paths) if i != j]
+    if not pairs:
         raise DataError("no image has two or more scanpaths")
-    return _aggregate(values)
+    return _report(pairs, cfg)
 
 
 def random_baseline(grid: GridSpec, n_points: int, count: int, rng: np.random.Generator,

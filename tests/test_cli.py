@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from scanpath.cli import main
+from scanpath.cli import RunConfig, main, metric_config
 from scanpath.core import GazePoint, GridSpec, gaussian_map
 from scanpath.data_io import load_scanpath_dataset, read_pgm, write_feature_tensor, write_pgm
+from scanpath.errors import ParameterError
 from scanpath.metrics import METRIC_ORDER
 
 
@@ -124,6 +127,26 @@ def test_evaluate_with_baselines(tmp_path, workspace):
     assert len(lines) == 11
 
 
+def test_metric_config_zero_infers_and_rejects_other_nonpositive():
+    cfg = metric_config(RunConfig())
+    assert (cfg.image_width, cfg.image_height, cfg.recurrence_radius) == (None, None, None)
+    for bad in ({"image_width": -3}, {"image_height": -1}, {"recurrence_radius": -2.0},
+                {"recurrence_radius": math.nan}, {"recurrence_radius": math.inf}):
+        with pytest.raises(ParameterError):
+            metric_config(RunConfig(**bad))
+
+
+def test_evaluate_exit_codes_for_bad_config_and_truth(tmp_path, workspace):
+    truth = workspace["data"] / "dataset.csv"
+    args = ["--predicted", str(truth), "--truth", str(truth)]
+    negative = write_cfg(tmp_path / "neg.cfg", image_width=-3)
+    assert main(["evaluate", "--config", str(negative), "--out", str(tmp_path / "a"), *args]) == 1
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(truth.read_bytes().replace(b"obs00", b"obs\xe900"))
+    assert main(["evaluate", "--config", str(workspace["cfg"]), "--out", str(tmp_path / "b"),
+                 "--predicted", str(truth), "--truth", str(latin1)]) == 2
+
+
 def test_complete_contract_and_errors(tmp_path, workspace):
     cfg, ckpt, data = workspace["cfg"], workspace["ckpt"], workspace["data"]
     out = tmp_path / "comp"
@@ -184,6 +207,9 @@ def test_exit_codes(tmp_path, workspace):
     # data: unknown config key
     bad = tmp_path / "bad.cfg"
     bad.write_text("grid_width=16\nbogus_key=1\n")
+    assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    # data: a config that is not UTF-8
+    bad.write_bytes(b"grid_width=16\ndataset_csv=\xe9.csv\n")
     assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     # data: nonexistent checkpoint
     assert main(["predict", "--config", str(cfg), "--out", str(tmp_path / "o2"),

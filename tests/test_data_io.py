@@ -1,9 +1,13 @@
+import string
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from scanpath.core import GazePoint, GridSpec, Scanpath
+from scanpath.core import GazePoint, GridSpec, Scanpath, group_by_image
 from scanpath.data_io import (
     Checkpoint,
     Dataset,
@@ -80,6 +84,10 @@ def test_csv_malformed_rows(tmp_path):
 
     f.write_text("wrong,header\n")
     with pytest.raises(FormatError):
+        load_scanpath_dataset(f)
+
+    f.write_bytes(b"image_id,observer_id,fix_index,x,y\nimg\xff,obs,0,1.0,2.0\n")
+    with pytest.raises(FormatError, match="UTF-8"):
         load_scanpath_dataset(f)
 
 
@@ -161,7 +169,7 @@ def test_synth_center_start_and_spread_trend():
     grid = GridSpec(32, 32)
     ds = synth_dataset(10, 15, 2, grid, np.random.default_rng(5))
     assert len(ds.scanpaths) == 150
-    by_img = ds.paths_by_image()
+    by_img = group_by_image(ds.scanpaths)
     step0 = np.array([s.coords()[0] for paths in by_img.values() for s in paths])
     cx, cy = grid.center
     assert abs(step0[:, 0].mean() - cx) < 2.0
@@ -204,6 +212,11 @@ def test_feature_tensor_format_errors(tmp_path):
     with pytest.raises(FormatError, match="payload"):
         read_feature_tensor(f)
 
+    # four dims of 65536 hold 2**64 values, which a fixed-width product wraps to 0
+    f.write_bytes(b"FTNS" + struct.pack("<5I", 4, *[65536] * 4))
+    with pytest.raises(FormatError, match="payload"):
+        read_feature_tensor(f)
+
 
 def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(4)
@@ -214,6 +227,10 @@ def test_pgm_round_trip(tmp_path):
     f.write_bytes(b"P6 1 1 255 xxx")
     with pytest.raises(FormatError):
         read_pgm(f)
+    for header in (b"P5 -2 -2 255\n", b"P5 0 3 255\n"):
+        f.write_bytes(header + b"\x00" * 4)
+        with pytest.raises(FormatError, match="positive"):
+            read_pgm(f)
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
@@ -251,3 +268,111 @@ def test_checkpoint_format_errors(tmp_path):
     f.write_bytes(data[: len(data) // 2])
     with pytest.raises(FormatError, match="truncated"):
         read_checkpoint(f)
+
+    f.write_bytes(data.replace(b"x", b"\xff", 1))  # tensor name
+    with pytest.raises(FormatError, match="UTF-8"):
+        read_checkpoint(f)
+    f.write_bytes(data.replace(b"k=v", b"k=\xff"))  # trailer
+    with pytest.raises(FormatError, match="UTF-8"):
+        read_checkpoint(f)
+    huge = b"SPCK" + struct.pack("<IIIsI4I", 1, 1, 1, b"x", 4, *[65536] * 4)
+    f.write_bytes(huge)
+    with pytest.raises(FormatError, match="truncated"):
+        read_checkpoint(f)
+    # no values, but a shape numpy cannot hold
+    empty = b"SPCK" + struct.pack("<IIIsI4I", 1, 1, 1, b"x", 4, 0, *[2**32 - 1] * 3) + struct.pack("<I", 0)
+    f.write_bytes(empty)
+    with pytest.raises(FormatError, match="shape"):
+        read_checkpoint(f)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every reader parses its input or raises FormatError
+
+
+FUZZ = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+SAFE_TEXT = st.text(alphabet=string.ascii_letters + string.digits + "_.-", max_size=6)
+READERS = {"csv": load_scanpath_dataset, "ftns": read_feature_tensor, "pgm": read_pgm, "spck": read_checkpoint}
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """Bytes of one small valid file per reader."""
+    root = tmp_path_factory.mktemp("valid")
+    rng = np.random.default_rng(6)
+    save_scanpath_csv([Scanpath((GazePoint(1.5, 2.0, 0), GazePoint(3.0, 0.25, 1)), "img", "obs")],
+                      root / "f.csv")
+    write_feature_tensor(root / "f.ftns", rng.standard_normal((2, 3)))
+    write_pgm(root / "f.pgm", rng.integers(0, 256, (3, 4), dtype=np.uint8))
+    write_checkpoint(root / "f.spck", Checkpoint({"w": rng.standard_normal((2, 2)), "b": np.asarray(0.5)},
+                                                 {"step": "3", "layers": "2"}))
+    return {kind: (root / f"f.{kind}").read_bytes() for kind in READERS}
+
+
+@st.composite
+def mutations(draw, valid: bytes):
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(("set", "cut", "insert")))
+        if op == "set" and pos < len(data):
+            data[pos] = draw(st.integers(0, 255))
+        elif op == "cut":
+            del data[pos:pos + draw(st.integers(1, 8))]
+        else:
+            data[pos:pos] = draw(st.binary(min_size=1, max_size=8))
+    return bytes(data)
+
+
+@pytest.mark.parametrize("kind", list(READERS))
+@FUZZ
+@given(data=st.data())
+def test_readers_raise_only_format_error(tmp_path, valid_files, kind, data):
+    raw = data.draw(st.one_of(st.binary(max_size=64), mutations(valid_files[kind])))
+    f = tmp_path / f"fuzz.{kind}"
+    f.write_bytes(raw)
+    try:
+        READERS[kind](f)
+    except FormatError:
+        pass
+
+
+@FUZZ
+@given(arr=arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=4)))
+def test_feature_tensor_fuzz_round_trip(tmp_path, arr):
+    write_feature_tensor(tmp_path / "t.ftns", arr)
+    back = read_feature_tensor(tmp_path / "t.ftns")
+    assert back.shape == arr.shape and back.tobytes() == arr.tobytes()
+
+
+@FUZZ
+@given(arr=arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, max_side=6)))
+def test_pgm_fuzz_round_trip(tmp_path, arr):
+    write_pgm(tmp_path / "i.pgm", arr)
+    assert np.array_equal(read_pgm(tmp_path / "i.pgm"), arr)
+
+
+@FUZZ
+@given(tensors=st.dictionaries(st.text(max_size=6), arrays(np.float64, array_shapes(min_dims=0, max_dims=3,
+                                                                                  min_side=0, max_side=3)),
+                               max_size=3),
+       hyper=st.dictionaries(SAFE_TEXT, SAFE_TEXT, max_size=3))
+def test_checkpoint_fuzz_round_trip(tmp_path, tensors, hyper):
+    write_checkpoint(tmp_path / "m.spck", Checkpoint(tensors, hyper))
+    back = read_checkpoint(tmp_path / "m.spck")
+    assert list(back.tensors) == list(tensors) and back.hyper == hyper
+    for name, arr in tensors.items():
+        assert back.tensors[name].shape == arr.shape and back.tensors[name].tobytes() == arr.tobytes()
+
+
+@FUZZ
+@given(paths=st.lists(st.tuples(SAFE_TEXT, SAFE_TEXT,
+                                st.lists(st.tuples(st.floats(0, 1e6), st.floats(0, 1e6)), min_size=1, max_size=4)),
+                      max_size=4))
+def test_scanpath_csv_fuzz_round_trip(tmp_path, paths):
+    written = [Scanpath(tuple(GazePoint(x, y, i) for i, (x, y) in enumerate(pts)), image_id, observer_id)
+               for image_id, observer_id, pts in paths]
+    save_scanpath_csv(written, tmp_path / "s.csv")
+    back = load_scanpath_dataset(tmp_path / "s.csv").scanpaths
+    assert [(s.image_id, s.observer_id, s.coords().tobytes()) for s in back] == \
+        [(s.image_id, s.observer_id, s.coords().tobytes()) for s in written]

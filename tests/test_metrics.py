@@ -9,6 +9,7 @@ from scanpath.losses import soft_dtw
 from scanpath.metrics import (
     METRIC_ORDER,
     MetricConfig,
+    _run_marks,
     all_metrics,
     curve_metrics,
     direction,
@@ -153,6 +154,9 @@ def test_series_metrics_identity():
 
 def test_hard_dtw_hand_matrix():
     assert hard_dtw(np.array([[1.0, 2.0], [3.0, 1.0]])) == pytest.approx(2.0)
+    for bad in ([[math.nan, 1.0]], [[math.inf]], [[1.0], [-math.inf]]):
+        with pytest.raises(ParameterError):
+            hard_dtw(bad)
 
 
 def test_fdtw_matches_exhaustive_alignments():
@@ -246,6 +250,64 @@ def test_recurrence_asymmetric_case():
     assert det == pytest.approx(0.0)
     assert lam == pytest.approx(100.0)
     assert corm == pytest.approx(100.0 * (0 - 0 + 0 - 1) / (1 * 2))
+
+
+def mark_runs(line, min_len):
+    """Per-line oracle: positions on a run of ones of length >= min_len."""
+    marks = np.zeros(len(line), dtype=bool)
+    start = None
+    for idx, v in enumerate(line):
+        if v and start is None:
+            start = idx
+        if (not v or idx == len(line) - 1) and start is not None:
+            end = idx + 1 if v else idx
+            if end - start >= min_len:
+                marks[start:end] = True
+            start = None
+    return marks
+
+
+def oracle_line_marks(R, min_line):
+    """Diagonal and horizontal-or-vertical run marks, one line at a time."""
+    n, m = R.shape
+    diag = np.zeros_like(R)
+    for off in range(-(n - 1), m):
+        idx = np.arange(max(0, -off), min(n, m - off))
+        diag[idx, idx + off] = mark_runs(R[idx, idx + off], min_line)
+    hv = np.zeros_like(R)
+    for i in range(n):
+        hv[i] |= mark_runs(R[i], min_line)
+    for j in range(m):
+        hv[:, j] |= mark_runs(R[:, j], min_line)
+    return diag, hv
+
+
+def test_run_marks_match_per_line_oracle():
+    rng = np.random.default_rng(12)
+    for _ in range(400):
+        n, m = rng.integers(1, 10, 2)
+        min_line = int(rng.integers(2, 6))
+        R = rng.random((n, m)) < rng.uniform(0.2, 0.9)
+        diag, hv = oracle_line_marks(R, min_line)
+        assert np.array_equal(_run_marks(R, 1, 1, min_line), diag)
+        assert np.array_equal(_run_marks(R, 0, 1, min_line) | _run_marks(R, 1, 0, min_line), hv)
+
+
+def test_det_lam_match_per_line_oracle():
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        # integer coordinates on a small lattice make long recurrent runs likely
+        a = path(rng.integers(0, 4, (rng.integers(1, 10), 2)).tolist())
+        b = path(rng.integers(0, 4, (rng.integers(1, 10), 2)).tolist())
+        cfg = MetricConfig(image_width=80, image_height=50, recurrence_radius=1.5,
+                           min_line=int(rng.integers(2, 6)))
+        R = np.sqrt(((a.coords()[:, None] - b.coords()[None]) ** 2).sum(axis=2)) <= 1.5
+        if not R.any():
+            continue
+        diag, hv = oracle_line_marks(R, cfg.min_line)
+        _, det, lam, _ = recurrence_metrics(a, b, cfg)
+        assert det == 100.0 * diag.sum() / R.sum()
+        assert lam == 100.0 * hv.sum() / R.sum()
 
 
 # ---------------------------------------------------------------------------
