@@ -1,11 +1,11 @@
 """Minimal reverse-mode automatic differentiation over dense float64 tensors.
 
 Only the primitives the recurrent model and the KL/soft-DTW loss need are
-implemented: elementwise arithmetic, gate nonlinearities, same-padded 2-D
-cross-correlation, a full-map softmax, and the stochastic weight draw for
-Bayesian convolutions. `node` also records ops whose forward pass and VJP are
-written elsewhere, such as the fused soft-DTW loss in `losses`. Everything runs
-in double precision; graphs are built per forward pass and freed with it.
+implemented: elementwise arithmetic, gate nonlinearities, the ConvLSTM cell,
+same-padded 2-D cross-correlation, a full-map softmax and the Bayesian weight
+draw. `node` also records ops whose forward pass and VJP are written elsewhere,
+such as the fused soft-DTW loss in `losses`. Everything runs in double
+precision; graphs are built per forward pass and freed with it.
 """
 
 from __future__ import annotations
@@ -163,19 +163,19 @@ def reshape(a: Tensor, shape) -> Tensor:
     return node(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
-def concat0(tensors) -> Tensor:
-    """Concatenate along axis 0; all trailing dimensions must match."""
+def concat0(tensors, axis: int = 0) -> Tensor:
+    """Concatenate along `axis` (default 0); every other dimension must match."""
     tensors = list(tensors)
-    trailing = tensors[0].data.shape[1:]
-    if any(t.data.shape[1:] != trailing for t in tensors):
-        raise ShapeError("concat0: trailing dimensions differ")
-    sizes = [t.data.shape[0] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    axis = range(tensors[0].data.ndim)[axis]  # a negative axis counts from the end
+    shapes = [t.data.shape[:axis] + t.data.shape[axis + 1:] for t in tensors]
+    if any(s != shapes[0] for s in shapes):
+        raise ShapeError(f"concat0: dimensions other than axis {axis} differ")
+    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def vjp(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
+        return np.split(g, splits, axis=axis)
 
-    return node(np.concatenate([t.data for t in tensors], axis=0), tensors, vjp)
+    return node(np.concatenate([t.data for t in tensors], axis=axis), tensors, vjp)
 
 
 def slice0(a: Tensor, start: int, stop: int) -> Tensor:
@@ -201,8 +201,48 @@ def map_softmax(a: Tensor) -> Tensor:
     return node(y, (a,), lambda g: (y * (g - float((g * y).sum())),))
 
 
+def lstm_cell(pre: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
+    """ConvLSTM cell update (Shi et al. 2015) from stacked gate pre-activations.
+
+    pre: [4 * hidden, ...], the rows of gates i, f, o and g in that order;
+    c_prev: [hidden, ...]. Returns (h, c) with c = f * c_prev + i * g and
+    h = o * tanh(c), where i, f and o are sigmoids and g a tanh of their rows.
+    c is one node on (pre, c_prev) and h one node on (pre, c).
+    """
+    n = c_prev.data.shape[0]
+    if pre.data.shape != (4 * n, *c_prev.data.shape[1:]):
+        raise ShapeError(f"lstm_cell: pre-activations {pre.data.shape} vs cell state {c_prev.data.shape}")
+    ifo = _sigmoid_values(pre.data[:3 * n])
+    i, f, o = ifo[:n], ifo[n:2 * n], ifo[2 * n:]
+    g = np.tanh(pre.data[3 * n:])
+    c_val = f * c_prev.data + i * g
+    tc = np.tanh(c_val)
+
+    def c_vjp(gc):
+        gpre = np.zeros_like(pre.data)
+        gpre[:n] = gc * g * i * (1.0 - i)
+        gpre[n:2 * n] = gc * c_prev.data * f * (1.0 - f)
+        gpre[3 * n:] = gc * i * (1.0 - g * g)
+        return (gpre, gc * f)
+
+    def h_vjp(gh):
+        gpre = np.zeros_like(pre.data)
+        gpre[2 * n:3 * n] = gh * tc * o * (1.0 - o)
+        return (gpre, gh * o * (1.0 - tc * tc))
+
+    c = node(c_val, (pre, c_prev), c_vjp)
+    return node(o * tc, (pre, c), h_vjp), c
+
+
 # ---------------------------------------------------------------------------
 # convolution
+
+
+def _shifted(offset: int, n: int) -> tuple[slice, slice]:
+    """Output and input ranges of one axis of length n read at `offset` from each output index."""
+    lo = min(n, max(0, -offset))
+    hi = max(lo, min(n, n - offset))
+    return slice(lo, hi), slice(lo + offset, hi + offset)
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -224,11 +264,13 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     _, h, w = xd.shape
     pad = kh // 2
 
-    xp = np.zeros((c_in, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    xp[:, pad:pad + h, pad:pad + w] = xd
+    # patches[:, di, dj, r, c] = x[:, r + di - pad, c + dj - pad], zero outside x;
     # rows ordered (channel, di, dj) to match kernel.reshape(c_out, -1)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    patches = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(c_in * kh * kw, h * w)
+    windows = [(di, dj, _shifted(di - pad, h), _shifted(dj - pad, w)) for di in range(kh) for dj in range(kw)]
+    patches = np.zeros((c_in, kh, kw, h, w))
+    for di, dj, (rows, src_rows), (cols, src_cols) in windows:
+        patches[:, di, dj, rows, cols] = xd[:, src_rows, src_cols]
+    patches = patches.reshape(c_in * kh * kw, h * w)
     k2 = kd.reshape(c_out, -1)
     out = (k2 @ patches).reshape(c_out, h, w)
     if bias is not None:
@@ -237,12 +279,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     def vjp(g):
         gm = g.reshape(c_out, -1)
         grad_k = (gm @ patches.T).reshape(kd.shape)
-        cols = (k2.T @ gm).reshape(c_in, kh, kw, h, w)
-        gxp = np.zeros_like(xp)
-        for di in range(kh):
-            for dj in range(kw):
-                gxp[:, di:di + h, dj:dj + w] += cols[:, di, dj]
-        grad_x = gxp[:, pad:pad + h, pad:pad + w]
+        cols_g = (k2.T @ gm).reshape(c_in, kh, kw, h, w)
+        grad_x = np.zeros_like(xd)
+        for di, dj, (rows, src_rows), (cols, src_cols) in windows:
+            grad_x[:, src_rows, src_cols] += cols_g[:, di, dj, rows, cols]
         if bias is None:
             return (grad_x, grad_k)
         return (grad_x, grad_k, g.sum(axis=(1, 2)))
@@ -338,6 +378,12 @@ class BayesConvParams:
         return out
 
 
+def _bayes_draw(mu: Tensor, rho: Tensor, eps: np.ndarray) -> Tensor:
+    """mu + softplus(rho) * eps as one node."""
+    sig = _sigmoid_values(rho.data)  # d softplus(rho) / d rho
+    return node(mu.data + np.logaddexp(0.0, rho.data) * eps, (mu, rho), lambda g: (g, g * eps * sig))
+
+
 def sample_bayes_kernel(p: BayesConvParams, rng: np.random.Generator):
     """Reparameterized draw: w = mu + softplus(rho) * eps, eps ~ N(0, 1).
 
@@ -345,12 +391,10 @@ def sample_bayes_kernel(p: BayesConvParams, rng: np.random.Generator):
     same sample. Returns (kernel, bias) with bias None when the params carry
     no bias posterior.
     """
-    eps = constant(rng.standard_normal(p.mu.data.shape))
-    kernel = add(p.mu, hadamard(softplus(p.rho), eps))
+    kernel = _bayes_draw(p.mu, p.rho, rng.standard_normal(p.mu.data.shape))
     bias = None
     if p.bias_mu is not None:
-        beps = constant(rng.standard_normal(p.bias_mu.data.shape))
-        bias = add(p.bias_mu, hadamard(softplus(p.bias_rho), beps))
+        bias = _bayes_draw(p.bias_mu, p.bias_rho, rng.standard_normal(p.bias_mu.data.shape))
     return kernel, bias
 
 

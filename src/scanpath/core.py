@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -149,6 +150,13 @@ class SpatializedScanpath:
     @property
     def grid(self) -> GridSpec:
         return self.maps[0].grid
+
+    @cached_property
+    def log_values(self) -> np.ndarray:
+        """[n, pixels] natural log of every map, computed on first use and kept."""
+        out = np.log(np.stack([m.values.reshape(-1) for m in self.maps]))
+        out.flags.writeable = False
+        return out
 
 
 def gaussian_map(p: GazePoint, grid: GridSpec, sigma: float) -> ProbMap:

@@ -54,9 +54,17 @@ def _utf8(raw: bytes, path) -> str:
         raise FormatError(f"{path}: not UTF-8: {exc}") from None
 
 
+def _has_line_break(text: str) -> bool:
+    """True when str.splitlines, which the readers split on, would break the text."""
+    return "".join(text.splitlines()) != text
+
+
 def save_scanpath_csv(scanpaths, path) -> None:
     lines = [SCANPATH_CSV_HEADER]
     for s in scanpaths:
+        for name in (s.image_id, s.observer_id):  # refuse what the reader would split or strip
+            if "," in name or _has_line_break(name) or name != name.strip():
+                raise ParameterError(f"id {name!r} has a comma, a line break or surrounding whitespace")
         for p in s.points:
             lines.append(f"{s.image_id},{s.observer_id},{p.index},{p.x!r},{p.y!r}")
     with open(path, "w", encoding="utf-8") as fh:
@@ -354,6 +362,9 @@ class Checkpoint:
 
 
 def write_checkpoint(path, ckpt: Checkpoint) -> None:
+    for k, v in ckpt.hyper.items():  # refuse what read_checkpoint could not split back
+        if "=" in k or _has_line_break(k) or _has_line_break(v):
+            raise ParameterError(f"trailer entry {k!r}={v!r}: a key may not hold '=' and no entry a line break")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))

@@ -263,8 +263,8 @@ def kl_dtw_loss(pred_maps, truth, cfg: LossConfig, grid: GridSpec | None = None)
     reg_slope = np.where(kl_c >= REG_KL_FLOOR, -reg / floored, 0.0)  # d reg / d kl_c
     by_length: dict[int, list] = {}
     for s in spat:
-        by_length.setdefault(s.n, []).append([g.values.reshape(-1) for g in s.maps])
-    log_qs = [np.log(np.array(group)) for group in by_length.values()]  # [S_m, M, pixels]
+        by_length.setdefault(s.n, []).append(s.log_values)
+    log_qs = [np.stack(group) for group in by_length.values()]  # [S_m, M, pixels]
     weights, total = [], 0.0
     for log_q in log_qs:
         D = selfs[None, :, None] - np.einsum("ik,sjk->sij", P, log_q, optimize=True) + reg[None, :, None]

@@ -207,7 +207,7 @@ class ScanpathModel:
     # -- stepping -----------------------------------------------------------
 
     def _sample_layer_weights(self, rng: np.random.Generator):
-        """Draw all gate kernels once; returns per-layer fused tensors."""
+        """Draw all gate kernels once; per layer, one kernel over [x; h] and one bias, gates stacked."""
         sampled = []
         for gates in self.conv_layers:
             kx, kh, biases = [], [], []
@@ -217,22 +217,14 @@ class ScanpathModel:
                 biases.append(b)
                 hk, _ = sample_bayes_kernel(gates[gate].h, rng)
                 kh.append(hk)
-            sampled.append((ad.concat0(kx), ad.concat0(kh), ad.concat0(biases)))
+            sampled.append((ad.concat0([ad.concat0(kx), ad.concat0(kh)], axis=1), ad.concat0(biases)))
         return sampled
 
     def _run_stack(self, x: Tensor, state: LstmState, sampled) -> Tensor:
-        hidden = self.cfg.hidden_channels
-        for l, (kx, kh, bias) in enumerate(sampled):
+        for l, (kernel, bias) in enumerate(sampled):
             h_prev, c_prev = state.layers[l]
-            pre = ad.add(ad.conv2d(x, kx, bias), ad.conv2d(h_prev, kh, None))
-            i = ad.sigmoid(ad.slice0(pre, 0, hidden))
-            f = ad.sigmoid(ad.slice0(pre, hidden, 2 * hidden))
-            o = ad.sigmoid(ad.slice0(pre, 2 * hidden, 3 * hidden))
-            g = ad.tanh(ad.slice0(pre, 3 * hidden, 4 * hidden))
-            c = ad.add(ad.hadamard(f, c_prev), ad.hadamard(i, g))
-            h = ad.hadamard(o, ad.tanh(c))
-            state.layers[l] = (h, c)
-            x = h
+            x, c = ad.lstm_cell(ad.conv2d(ad.concat0([x, h_prev]), kernel, bias), c_prev)
+            state.layers[l] = (x, c)
         return x
 
     def _head(self, h: Tensor) -> Tensor:
@@ -326,17 +318,11 @@ def convlstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, gate_weights: dict)
     gate_weights maps each of "i", "f", "o", "g" to (x_kernel, h_kernel, bias).
     Returns (h, c).
     """
-    pre = {}
+    pre = []
     for gate in GATE_ORDER:
         kx, kh, b = gate_weights[gate]
-        pre[gate] = ad.add(ad.conv2d(x, kx, b), ad.conv2d(h_prev, kh, None))
-    i = ad.sigmoid(pre["i"])
-    f = ad.sigmoid(pre["f"])
-    o = ad.sigmoid(pre["o"])
-    g = ad.tanh(pre["g"])
-    c = ad.add(ad.hadamard(f, c_prev), ad.hadamard(i, g))
-    h = ad.hadamard(o, ad.tanh(c))
-    return h, c
+        pre.append(ad.add(ad.conv2d(x, kx, b), ad.conv2d(h_prev, kh, None)))
+    return ad.lstm_cell(ad.concat0(pre), c_prev)
 
 
 def tspm_head(h: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:

@@ -16,6 +16,7 @@ from scanpath.autodiff import (
     conv2d,
     grad_check,
     hadamard,
+    lstm_cell,
     map_softmax,
     parameter,
     recip,
@@ -89,7 +90,8 @@ def test_conv2d_matches_naive_loop():
 
 def test_conv2d_naive_oracle_shapes_sweep():
     rng = np.random.default_rng(2)
-    for c_in, c_out, k, h, w in [(1, 1, 1, 3, 3), (3, 4, 3, 5, 4), (4, 4, 5, 8, 8), (2, 3, 3, 8, 8)]:
+    cases = [(1, 1, 1, 3, 3), (3, 4, 3, 5, 4), (4, 4, 5, 8, 8), (2, 3, 3, 8, 8), (3, 2, 5, 6, 9), (2, 2, 5, 2, 3)]
+    for c_in, c_out, k, h, w in cases:
         x = rng.standard_normal((c_in, h, w))
         kk = rng.standard_normal((c_out, c_in, k, k))
         b = rng.standard_normal(c_out)
@@ -213,6 +215,39 @@ def test_grad_check_conv2d_all_arguments():
     assert grad_check(lambda t: tsum(hadamard(conv2d(constant(xv), constant(kv), t), w)), b) < 1e-6
 
 
+def test_grad_check_conv2d_wide_kernel_non_square():
+    rng = np.random.default_rng(15)
+    kv = rng.uniform(-1, 1, (2, 2, 5, 5))
+    w = constant(rng.uniform(-1, 1, (2, 3, 6)))
+    x = parameter(rng.uniform(-1, 1, (2, 3, 6)))
+    assert grad_check(lambda t: tsum(hadamard(conv2d(t, constant(kv)), w)), x) < 1e-6
+
+
+def test_lstm_cell_values_and_grad_check():
+    rng = np.random.default_rng(16)
+    pre_v = rng.uniform(-2, 2, (8, 3, 4))
+    c_v = rng.uniform(-1, 1, (2, 3, 4))
+    h, c = lstm_cell(constant(pre_v), constant(c_v))
+
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    i, f, o, g = sig(pre_v[:2]), sig(pre_v[2:4]), sig(pre_v[4:6]), np.tanh(pre_v[6:])
+    assert np.abs(c.data - (f * c_v + i * g)).max() < 1e-12
+    assert np.abs(h.data - o * np.tanh(f * c_v + i * g)).max() < 1e-12
+
+    r = constant(rng.standard_normal((4, 3, 4)))
+
+    def loss(pre_t, c_t):
+        h, c = lstm_cell(pre_t, c_t)
+        return tsum(hadamard(concat0([h, c]), r))
+
+    assert grad_check(lambda t: loss(t, constant(c_v)), parameter(pre_v.copy())) < 1e-6
+    assert grad_check(lambda t: loss(constant(pre_v), t), parameter(c_v.copy())) < 1e-6
+    with pytest.raises(ShapeError):
+        lstm_cell(constant(pre_v[:6]), constant(c_v))
+
+
 def test_grad_check_concat_slice():
     rng = np.random.default_rng(6)
     x = parameter(rng.uniform(-1, 1, (4,)))
@@ -228,6 +263,17 @@ def test_grad_check_concat_slice():
         return tsum(hadamard(joined, constant(np.arange(8.0))))
 
     assert grad_check(f_concat, x) < 1e-6
+
+    m = parameter(rng.uniform(-1, 1, (2, 3)))
+
+    def f_concat_axis1(t):
+        joined = concat0([t, hadamard(t, t), t], axis=1)
+        return tsum(hadamard(joined, constant(np.arange(18.0).reshape(2, 9))))
+
+    assert grad_check(f_concat_axis1, m) < 1e-6
+    assert concat0([constant(np.zeros((2, 1))), constant(np.ones((2, 3)))], axis=-1).shape == (2, 4)
+    with pytest.raises(ShapeError):
+        concat0([constant(np.zeros((2, 1))), constant(np.ones((3, 1)))], axis=1)
 
 
 def test_sample_bayes_kernel_degenerate_and_deterministic():
@@ -246,6 +292,34 @@ def test_sample_bayes_kernel_degenerate_and_deterministic():
     k1, _ = sample_bayes_kernel(p2, np.random.default_rng(42))
     k2, _ = sample_bayes_kernel(p2, np.random.default_rng(42))
     assert np.array_equal(k1.data, k2.data)
+
+
+def test_sample_bayes_kernel_matches_softplus_graph_bit_for_bit():
+    rng = np.random.default_rng(17)
+    shapes = [(3, 2, 3, 3), (3, 2, 3, 3), (3,), (3,)]
+    values = [rng.normal(-3.0 * (j % 2), 2.0, s) for j, s in enumerate(shapes)]
+    weight = constant(rng.normal(size=shapes[0]))
+
+    def run(draw):
+        params = [parameter(v.copy()) for v in values]
+        k, b = draw(*params)
+        backward(ad.add(tsum(hadamard(k, weight)), tsum(b)))
+        return k, b, [t.grad.tobytes() for t in params]
+
+    def fused(mu, rho, bias_mu, bias_rho):
+        return sample_bayes_kernel(BayesConvParams(mu, rho, bias_mu, bias_rho), np.random.default_rng(1))
+
+    def unfused(mu, rho, bias_mu, bias_rho):
+        draws = np.random.default_rng(1)
+        k = ad.add(mu, hadamard(softplus(rho), constant(draws.standard_normal(mu.shape))))
+        return k, ad.add(bias_mu, hadamard(softplus(bias_rho), constant(draws.standard_normal(bias_mu.shape))))
+
+    k, b, grads = run(fused)
+    ref_k, ref_b, ref_grads = run(unfused)
+    assert k.data.tobytes() == ref_k.data.tobytes() and b.data.tobytes() == ref_b.data.tobytes()
+    assert grads == ref_grads
+    for draw in (k, b):  # one node per draw, straight on the posterior's leaves
+        assert len(draw._parents) == 2 and not any(p._parents for p in draw._parents)
 
 
 def test_sample_bayes_kernel_monte_carlo():

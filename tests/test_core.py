@@ -105,6 +105,15 @@ def test_spatialize_basic():
     assert np.array_equal(out2.maps[0].values, out2.maps[1].values)
 
 
+def test_spatialized_log_values_computed_once():
+    grid = GridSpec(6, 4)
+    out = spatialize(Scanpath((GazePoint(1, 1, 0), GazePoint(4.5, 2, 1)), "img", "obs"), grid, 1.5)
+    logs = out.log_values
+    assert logs.shape == (2, 24) and not logs.flags.writeable
+    assert logs.tobytes() == np.log(np.stack([m.values.reshape(-1) for m in out.maps])).tobytes()
+    assert out.log_values is logs
+
+
 def test_spatialize_argmax_recovers_rounded_points():
     grid = GridSpec(32, 32)
     rng = np.random.default_rng(3)

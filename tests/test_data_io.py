@@ -1,4 +1,3 @@
-import string
 import struct
 
 import numpy as np
@@ -23,7 +22,7 @@ from scanpath.data_io import (
     write_feature_tensor,
     write_pgm,
 )
-from scanpath.errors import DataError, FormatError
+from scanpath.errors import DataError, FormatError, ParameterError
 
 
 def test_csv_empty_with_header(tmp_path):
@@ -89,6 +88,14 @@ def test_csv_malformed_rows(tmp_path):
     f.write_bytes(b"image_id,observer_id,fix_index,x,y\nimg\xff,obs,0,1.0,2.0\n")
     with pytest.raises(FormatError, match="UTF-8"):
         load_scanpath_dataset(f)
+
+
+@pytest.mark.parametrize("bad", ["a,b", "a\nb", "a\rb", "a\u2028b", " a", "a\t"])
+def test_csv_writer_rejects_ids_it_cannot_read_back(tmp_path, bad):
+    for ids in ((bad, "obs"), ("img", bad)):
+        with pytest.raises(ParameterError):
+            save_scanpath_csv([Scanpath((GazePoint(1.0, 2.0, 0),), *ids)], tmp_path / "s.csv")
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_csv_unknown_image_id(tmp_path):
@@ -251,6 +258,17 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert f.read_bytes() == f2.read_bytes()
 
 
+@pytest.mark.parametrize("hyper", [{"a=b": "1"}, {"a\nb": "1"}, {"a": "1\n"}, {"a": "1\u2028"},
+                                   {"a": "\r"}, {"a": "x\x1cy"}])
+def test_checkpoint_writer_rejects_unreadable_trailer(tmp_path, hyper):
+    with pytest.raises(ParameterError):
+        write_checkpoint(tmp_path / "m.spck", Checkpoint({"w": np.ones(1)}, hyper))
+    assert not (tmp_path / "m.spck").exists()
+    # '=' is fine in a value: the reader splits at the first one
+    write_checkpoint(tmp_path / "m.spck", Checkpoint({"w": np.ones(1)}, {"a": "b=c"}))
+    assert read_checkpoint(tmp_path / "m.spck").hyper == {"a": "b=c"}
+
+
 def test_checkpoint_format_errors(tmp_path):
     f = tmp_path / "bad.spck"
     f.write_bytes(b"XXXX")
@@ -291,7 +309,6 @@ def test_checkpoint_format_errors(tmp_path):
 
 
 FUZZ = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-SAFE_TEXT = st.text(alphabet=string.ascii_letters + string.digits + "_.-", max_size=6)
 READERS = {"csv": load_scanpath_dataset, "ftns": read_feature_tensor, "pgm": read_pgm, "spck": read_checkpoint}
 
 
@@ -356,9 +373,14 @@ def test_pgm_fuzz_round_trip(tmp_path, arr):
 @given(tensors=st.dictionaries(st.text(max_size=6), arrays(np.float64, array_shapes(min_dims=0, max_dims=3,
                                                                                   min_side=0, max_side=3)),
                                max_size=3),
-       hyper=st.dictionaries(SAFE_TEXT, SAFE_TEXT, max_size=3))
+       hyper=st.dictionaries(st.text(max_size=6), st.text(max_size=6), max_size=3))
 def test_checkpoint_fuzz_round_trip(tmp_path, tensors, hyper):
-    write_checkpoint(tmp_path / "m.spck", Checkpoint(tensors, hyper))
+    # the writer refuses a trailer entry the reader could not split back; all else round-trips
+    try:
+        write_checkpoint(tmp_path / "m.spck", Checkpoint(tensors, hyper))
+    except ParameterError:
+        assert any("=" in k or f"{k}={v}".splitlines() != [f"{k}={v}"] for k, v in hyper.items())
+        return
     back = read_checkpoint(tmp_path / "m.spck")
     assert list(back.tensors) == list(tensors) and back.hyper == hyper
     for name, arr in tensors.items():
@@ -366,13 +388,20 @@ def test_checkpoint_fuzz_round_trip(tmp_path, tensors, hyper):
 
 
 @FUZZ
-@given(paths=st.lists(st.tuples(SAFE_TEXT, SAFE_TEXT,
+@given(paths=st.lists(st.tuples(st.text(max_size=6), st.text(max_size=6),
                                 st.lists(st.tuples(st.floats(0, 1e6), st.floats(0, 1e6)), min_size=1, max_size=4)),
                       max_size=4))
 def test_scanpath_csv_fuzz_round_trip(tmp_path, paths):
     written = [Scanpath(tuple(GazePoint(x, y, i) for i, (x, y) in enumerate(pts)), image_id, observer_id)
                for image_id, observer_id, pts in paths]
-    save_scanpath_csv(written, tmp_path / "s.csv")
+    # the writer refuses an id the reader would split or strip; all else round-trips
+    try:
+        save_scanpath_csv(written, tmp_path / "s.csv")
+    except ParameterError:
+        ids = [(s.image_id, s.observer_id) for s in written]
+        assert any(f"{a}|{b}".splitlines() != [f"{a}|{b}"] or any("," in i or i != i.strip() for i in (a, b))
+                   for a, b in ids)
+        return
     back = load_scanpath_dataset(tmp_path / "s.csv").scanpaths
     assert [(s.image_id, s.observer_id, s.coords().tobytes()) for s in back] == \
         [(s.image_id, s.observer_id, s.coords().tobytes()) for s in written]

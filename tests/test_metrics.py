@@ -394,7 +394,7 @@ def test_human_baseline_single_path_image_warns():
     with pytest.warns(UserWarning):
         report = human_baseline([a, b1, b2], CFG)
     assert report.n_pairs["LEV"] == 2
-    with pytest.raises(DataError):
+    with pytest.raises(DataError), pytest.warns(UserWarning):
         human_baseline([a], CFG)
 
 

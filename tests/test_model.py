@@ -7,10 +7,12 @@ from scanpath import autodiff as ad
 from scanpath.autodiff import sample_bayes_kernel
 from scanpath.cli import RunConfig, load_features
 from scanpath.core import EPS, GazePoint, GridSpec, ProbMap, Scanpath, gaussian_map, map_argmax
-from scanpath.data_io import read_checkpoint, write_checkpoint, write_feature_tensor
+from scanpath.data_io import preprocess, read_checkpoint, synth_dataset, write_checkpoint, write_feature_tensor
 from scanpath.errors import ConfigMismatchError, DataError, FormatError, ParameterError
+from scanpath.losses import LossConfig
 from scanpath.model import (
     GATE_ORDER,
+    LstmState,
     ModelConfig,
     ScanpathModel,
     config_from_hyper,
@@ -22,6 +24,7 @@ from scanpath.model import (
     tensor_to_probmap,
     tspm_head,
 )
+from scanpath.training import TrainConfig, init_state, train_step
 from test_autodiff import naive_conv2d
 
 # chi-square critical value at p = 0.01 for 63 degrees of freedom
@@ -166,6 +169,88 @@ def test_model_rollout_matches_per_gate_stepping():
         assert np.abs(ref.data - frames[t].data).max() < 1e-12
         if t < 2:
             current = anchor[t].values
+
+
+# the unfused cell graph: the oracle of the model's fused layer step
+
+
+def unfused_draw(mu, rho, rng):
+    return ad.add(mu, ad.hadamard(ad.softplus(rho), ad.constant(rng.standard_normal(mu.shape))))
+
+
+def unfused_sample_layer_weights(model, rng):
+    """Per layer, gate-stacked x kernels, h kernels and biases, drawn in the model's order."""
+    sampled = []
+    for gates in model.conv_layers:
+        kx, kh, biases = [], [], []
+        for gate in GATE_ORDER:
+            gx, gh = gates[gate].x, gates[gate].h
+            kx.append(unfused_draw(gx.mu, gx.rho, rng))
+            biases.append(unfused_draw(gx.bias_mu, gx.bias_rho, rng))
+            kh.append(unfused_draw(gh.mu, gh.rho, rng))
+        sampled.append((ad.concat0(kx), ad.concat0(kh), ad.concat0(biases)))
+    return sampled
+
+
+def unfused_run_stack(model, x, state, sampled):
+    """Two convolutions, four slices, five nonlinearities and four elementwise nodes per layer step."""
+    hidden = model.cfg.hidden_channels
+    for l, (kx, kh, bias) in enumerate(sampled):
+        h_prev, c_prev = state.layers[l]
+        pre = ad.add(ad.conv2d(x, kx, bias), ad.conv2d(h_prev, kh, None))
+        i, f, o = (ad.sigmoid(ad.slice0(pre, j * hidden, (j + 1) * hidden)) for j in range(3))
+        g = ad.tanh(ad.slice0(pre, 3 * hidden, 4 * hidden))
+        c = ad.add(ad.hadamard(f, c_prev), ad.hadamard(i, g))
+        x = ad.hadamard(o, ad.tanh(c))
+        state.layers[l] = (x, c)
+    return x
+
+
+def test_train_step_matches_unfused_cell_oracle():
+    grid = GridSpec(10, 7)
+    prepared = preprocess(synth_dataset(1, 4, 1, grid, np.random.default_rng(42)), grid, n_fix=4, sigma=1.0)
+    mcfg = ModelConfig(grid=grid, layers=2, hidden_channels=3, n_fixations=4, sigma=1.0, feature_channels=2)
+    cfg = TrainConfig(model=mcfg, loss=LossConfig(gamma=0.3, sigma=1.0), seed=3)
+    fused, oracle = init_state(cfg), init_state(cfg)
+    ref_model = oracle.model
+    ref_model._sample_layer_weights = lambda rng: unfused_sample_layer_weights(ref_model, rng)
+    ref_model._run_stack = lambda x, state, sampled: unfused_run_stack(ref_model, x, state, sampled)
+
+    loss, ref_loss = train_step(prepared[0], fused, cfg), train_step(prepared[0], oracle, cfg)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    grads = {name: t.grad for name, t in fused.model.parameters()}
+    ref_grads = {name: t.grad for name, t in ref_model.parameters()}
+    scale = max(np.abs(r).max() for r in ref_grads.values())
+    for name, r in ref_grads.items():
+        if name == "head.bias":  # exactly 0: the map softmax ignores a shift
+            assert max(abs(grads[name]).max(), abs(r).max()) <= 1e-12 * scale
+        else:
+            assert np.abs(grads[name] - r).max() <= 1e-12 * np.abs(r).max(), name
+
+
+def layer_step_nodes(grid: GridSpec, hidden: int) -> int:
+    """Graph nodes one layer step adds on top of its input, state and weights."""
+    cfg = tiny_cfg(grid=grid, layers=1, hidden_channels=hidden)
+    model = ScanpathModel.create(cfg, np.random.default_rng(0))
+    sampled = model._sample_layer_weights(np.random.default_rng(1))
+    rng = np.random.default_rng(2)
+    x = ad.parameter(rng.standard_normal((cfg.input_channels, grid.height, grid.width)))
+    state = LstmState([tuple(ad.parameter(rng.standard_normal((hidden, grid.height, grid.width)))
+                             for _ in range(2))])
+    given = {id(t) for t in (x, *state.layers[0], *sampled[0])}
+    h = model._run_stack(x, state, sampled)
+    seen, stack = set(), [h, state.layers[0][1]]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen and id(t) not in given:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return len(seen)
+
+
+def test_layer_step_node_count_independent_of_shape():
+    counts = {layer_step_nodes(grid, hidden) for grid in (GridSpec(8, 8), GridSpec(13, 5)) for hidden in (2, 5)}
+    assert counts == {4}  # concat [x; h], one gate convolution, then c and h
 
 
 def test_tspm_head_contracts():
