@@ -361,9 +361,9 @@ def collect_grads(params) -> list[np.ndarray]:
 class BayesConvParams:
     """Gaussian posterior over one convolution: kernel mean and pre-softplus scale.
 
-    bias_mu/bias_rho may be None for kernels whose addition carries no bias
-    (the hidden-state convolutions: each gate has a single bias, attached to
-    the input-side convolution).
+    bias_mu/bias_rho hold the bias posterior, or None for a convolution
+    without bias. A ConvLSTM layer is one such posterior, its kernel spanning
+    all four gates and both the input and the hidden channels.
     """
 
     mu: Tensor
@@ -378,10 +378,10 @@ class BayesConvParams:
         return out
 
 
-def _bayes_draw(mu: Tensor, rho: Tensor, eps: np.ndarray) -> Tensor:
-    """mu + softplus(rho) * eps as one node."""
-    sig = _sigmoid_values(rho.data)  # d softplus(rho) / d rho
-    return node(mu.data + np.logaddexp(0.0, rho.data) * eps, (mu, rho), lambda g: (g, g * eps * sig))
+def bayes_draw(mu: Tensor, rho: Tensor, eps: np.ndarray) -> Tensor:
+    """mu + softplus(rho) * eps as one node; its VJP alone computes d softplus / d rho = sigmoid(rho)."""
+    return node(mu.data + np.logaddexp(0.0, rho.data) * eps, (mu, rho),
+                lambda g: (g, g * eps * _sigmoid_values(rho.data)))
 
 
 def sample_bayes_kernel(p: BayesConvParams, rng: np.random.Generator):
@@ -391,10 +391,10 @@ def sample_bayes_kernel(p: BayesConvParams, rng: np.random.Generator):
     same sample. Returns (kernel, bias) with bias None when the params carry
     no bias posterior.
     """
-    kernel = _bayes_draw(p.mu, p.rho, rng.standard_normal(p.mu.data.shape))
+    kernel = bayes_draw(p.mu, p.rho, rng.standard_normal(p.mu.data.shape))
     bias = None
     if p.bias_mu is not None:
-        bias = _bayes_draw(p.bias_mu, p.bias_rho, rng.standard_normal(p.bias_mu.data.shape))
+        bias = bayes_draw(p.bias_mu, p.bias_rho, rng.standard_normal(p.bias_mu.data.shape))
     return kernel, bias
 
 

@@ -119,17 +119,13 @@ def loss_config(rc: RunConfig) -> LossConfig:
 
 
 def metric_config(rc: RunConfig) -> MetricConfig:
-    """0 leaves recurrence_radius, image_width and image_height to be inferred from the data;
-    MetricConfig rejects any other nonpositive or non-finite value."""
-    return MetricConfig(
-        bin_cols=rc.bin_cols,
-        bin_rows=rc.bin_rows,
-        recurrence_radius=rc.recurrence_radius if rc.recurrence_radius != 0 else None,
-        min_line=rc.min_line,
-        tde_k=rc.tde_k,
-        image_width=rc.image_width if rc.image_width != 0 else None,
-        image_height=rc.image_height if rc.image_height != 0 else None,
-    )
+    """0 leaves a field whose MetricConfig default is None (the radius and image size) to be inferred
+    from the data; MetricConfig rejects any other nonpositive or non-finite value."""
+    values = {}
+    for f in fields(MetricConfig):
+        value = getattr(rc, f.name)
+        values[f.name] = None if f.default is None and value == 0 else value
+    return MetricConfig(**values)
 
 
 def _prepare_out(args, rc: RunConfig, inputs: dict) -> Path:

@@ -105,7 +105,7 @@ def smooth_and_normalize(raw: np.ndarray) -> np.ndarray:
     return np.maximum(v, EPS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbMap:
     """Per-pixel probability map over a grid; entries sum to 1, all >= EPS."""
 
@@ -129,7 +129,7 @@ class ProbMap:
             raise ParameterError(f"probability map sums to {self.values.sum()}, not 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpatializedScanpath:
     """A scanpath rendered as one Gaussian probability map per fixation."""
 

@@ -137,7 +137,7 @@ def load_scanpath_dataset(path, images_dir=None) -> Dataset:
 # preprocessing
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreparedExample:
     """One image ready for training: grid-space scanpaths of fixed length."""
 
@@ -353,7 +353,7 @@ def read_feature_tensor(path) -> np.ndarray:
 # checkpoint file
 
 
-@dataclass
+@dataclass(eq=False)
 class Checkpoint:
     """Named tensors plus a text trailer of hyperparameters and counters."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import BayesConvParams, Tensor, sample_bayes_kernel
+from .autodiff import BayesConvParams, Tensor, bayes_draw
 from .core import EPS, GazePoint, GridSpec, ProbMap, Scanpath, gaussian_map, parse_value
 from .errors import ConfigMismatchError, DataError, FormatError, ParameterError, ShapeError
 from .losses import CenterPrior
@@ -71,18 +71,6 @@ SAMPLING_FIELDS = ("th", "threshold_mode")
 
 
 @dataclass
-class GateParams:
-    """One ConvLSTM gate: input-side and hidden-side kernel posteriors.
-
-    The gate's single bias posterior lives on the input-side params; the
-    hidden-side convolution adds no bias of its own.
-    """
-
-    x: BayesConvParams
-    h: BayesConvParams
-
-
-@dataclass
 class LstmState:
     """Per-layer hidden and cell tensors."""
 
@@ -103,15 +91,16 @@ def coord_planes(grid: GridSpec) -> np.ndarray:
     return np.stack([col, row])
 
 
-def _kernel_posterior(rng, c_out, c_in, k, with_bias, bias_init=0.0) -> BayesConvParams:
-    std = 1.0 / np.sqrt(c_in * k * k)
-    mu = ad.parameter(rng.normal(0.0, std, size=(c_out, c_in, k, k)))
-    rho = ad.parameter(np.full((c_out, c_in, k, k), -5.0))
-    if not with_bias:
-        return BayesConvParams(mu=mu, rho=rho)
-    bias_mu = ad.parameter(np.full(c_out, float(bias_init)))
-    bias_rho = ad.parameter(np.full(c_out, -5.0))
-    return BayesConvParams(mu=mu, rho=rho, bias_mu=bias_mu, bias_rho=bias_rho)
+def _gate_blocks(cfg: ModelConfig, layer: int):
+    """(gate, bias rows, x-side kernel block, h-side kernel block) per gate of a layer's posterior.
+
+    Kernel rows hold the gates in GATE_ORDER; its columns the layer input's channels, then the hidden ones.
+    """
+    n = cfg.hidden_channels
+    c_x = cfg.input_channels if layer == 0 else n
+    for j, gate in enumerate(GATE_ORDER):
+        rows = slice(j * n, (j + 1) * n)
+        yield gate, rows, (rows, slice(0, c_x)), (rows, slice(c_x, c_x + n))
 
 
 class ScanpathModel:
@@ -119,7 +108,7 @@ class ScanpathModel:
 
     def __init__(self, cfg: ModelConfig, conv_layers, head_kernel, head_bias, feature_layers):
         self.cfg = cfg
-        self.conv_layers = conv_layers  # list[dict[gate name, GateParams]]
+        self.conv_layers = conv_layers  # list[BayesConvParams]: per layer, one posterior over all 4 gates
         self.head_kernel = head_kernel
         self.head_bias = head_bias
         self.feature_layers = feature_layers  # list[(kernel, bias)] or None
@@ -130,18 +119,18 @@ class ScanpathModel:
 
     @classmethod
     def create(cls, cfg: ModelConfig, rng: np.random.Generator) -> "ScanpathModel":
-        k = cfg.kernel_size
+        k, n = cfg.kernel_size, cfg.hidden_channels
         layers = []
         for layer_idx in range(cfg.layers):
-            c_in = cfg.input_channels if layer_idx == 0 else cfg.hidden_channels
-            gates = {}
-            for gate in GATE_ORDER:
-                bias_init = 1.0 if gate == "f" else 0.0  # forget gate remembers by default
-                gates[gate] = GateParams(
-                    x=_kernel_posterior(rng, cfg.hidden_channels, c_in, k, True, bias_init),
-                    h=_kernel_posterior(rng, cfg.hidden_channels, cfg.hidden_channels, k, False),
-                )
-            layers.append(gates)
+            c_in = cfg.input_channels if layer_idx == 0 else n
+            mu, bias_mu = np.empty((4 * n, c_in + n, k, k)), np.zeros(4 * n)
+            # gate by gate, x side then h side: the draw order of per-gate posteriors
+            for gate, rows, x, h in _gate_blocks(cfg, layer_idx):
+                mu[x] = rng.normal(0.0, 1.0 / np.sqrt(c_in * k * k), size=mu[x].shape)
+                mu[h] = rng.normal(0.0, 1.0 / np.sqrt(n * k * k), size=mu[h].shape)
+                bias_mu[rows] = 1.0 if gate == "f" else 0.0  # forget gate remembers by default
+            rho, bias_rho = np.full(mu.shape, -5.0), np.full(4 * n, -5.0)
+            layers.append(BayesConvParams(*(ad.parameter(a) for a in (mu, rho, bias_mu, bias_rho))))
         # small random head so gradients reach the recurrent stack from step one
         head_kernel = ad.parameter(rng.normal(0.0, 1.0 / np.sqrt(cfg.hidden_channels),
                                               size=(1, cfg.hidden_channels, 1, 1)))
@@ -159,13 +148,8 @@ class ScanpathModel:
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         out = []
-        for l, gates in enumerate(self.conv_layers):
-            for gate in GATE_ORDER:
-                gp = gates[gate]
-                for field, t in gp.x.tensors():
-                    out.append((f"convlstm.l{l}.{gate}.x.{field}", t))
-                for field, t in gp.h.tensors():
-                    out.append((f"convlstm.l{l}.{gate}.h.{field}", t))
+        for l, posterior in enumerate(self.conv_layers):
+            out += [(f"convlstm.l{l}.{field}", t) for field, t in posterior.tensors()]
         out.append(("head.kernel", self.head_kernel))
         out.append(("head.bias", self.head_bias))
         if self.feature_layers is not None:
@@ -207,17 +191,18 @@ class ScanpathModel:
     # -- stepping -----------------------------------------------------------
 
     def _sample_layer_weights(self, rng: np.random.Generator):
-        """Draw all gate kernels once; per layer, one kernel over [x; h] and one bias, gates stacked."""
+        """Per layer, (kernel over [x; h], bias) drawn once.
+
+        eps is drawn per gate as x kernel, bias, h kernel: the order of separate per-gate posteriors.
+        """
         sampled = []
-        for gates in self.conv_layers:
-            kx, kh, biases = [], [], []
-            for gate in GATE_ORDER:
-                k, b = sample_bayes_kernel(gates[gate].x, rng)
-                kx.append(k)
-                biases.append(b)
-                hk, _ = sample_bayes_kernel(gates[gate].h, rng)
-                kh.append(hk)
-            sampled.append((ad.concat0([ad.concat0(kx), ad.concat0(kh)], axis=1), ad.concat0(biases)))
+        for l, p in enumerate(self.conv_layers):
+            eps, eps_bias = np.empty(p.mu.data.shape), np.empty(p.bias_mu.data.shape)
+            for _, rows, x, h in _gate_blocks(self.cfg, l):
+                eps[x] = rng.standard_normal(eps[x].shape)
+                eps_bias[rows] = rng.standard_normal(eps_bias[rows].shape)
+                eps[h] = rng.standard_normal(eps[h].shape)
+            sampled.append((bayes_draw(p.mu, p.rho, eps), bayes_draw(p.bias_mu, p.bias_rho, eps_bias)))
         return sampled
 
     def _run_stack(self, x: Tensor, state: LstmState, sampled) -> Tensor:
@@ -365,18 +350,36 @@ def sample_next_point(tspm: ProbMap, th: float, rng: np.random.Generator,
 # checkpoint glue
 
 
+def _checkpoint_views(model: ScanpathModel, arrays) -> list[tuple[str, np.ndarray]]:
+    """Checkpoint tensor names, each with its view into arrays given in parameters() order.
+
+    A layer's ConvLSTM posterior is stored per gate, as x.mu, x.rho,
+    x.bias_mu, x.bias_rho, h.mu and h.rho slices of the joined arrays; every
+    other parameter is stored whole under its own name.
+    """
+    n_conv = 4 * model.cfg.layers
+    views = []
+    for l in range(model.cfg.layers):
+        mu, rho, bias_mu, bias_rho = arrays[4 * l:4 * l + 4]
+        for gate, rows, x, h in _gate_blocks(model.cfg, l):
+            views += [(f"convlstm.l{l}.{gate}.{name}", view) for name, view in (
+                ("x.mu", mu[x]), ("x.rho", rho[x]), ("x.bias_mu", bias_mu[rows]),
+                ("x.bias_rho", bias_rho[rows]), ("h.mu", mu[h]), ("h.rho", rho[h]))]
+    views += [(name, a) for (name, _), a in zip(model.parameters()[n_conv:], arrays[n_conv:])]
+    return views
+
+
 def model_to_checkpoint(model: ScanpathModel, adam=None, step: int = 0,
                         rng_state: dict | None = None):
     """Pack parameters, optimizer moments and hyperparameters into a Checkpoint."""
     from .data_io import Checkpoint
 
     cfg = model.cfg
-    tensors = {}
-    names = model.parameters()
-    for name, t in names:
-        tensors[name] = t.data.copy()
+    params = [t.data for _, t in model.parameters()]
+    tensors = {name: a.copy() for name, a in _checkpoint_views(model, params)}
     if adam is not None:
-        for (name, _), m, v in zip(names, adam.first_moment, adam.second_moment):
+        for (name, m), (_, v) in zip(_checkpoint_views(model, adam.first_moment),
+                                     _checkpoint_views(model, adam.second_moment)):
             tensors[f"adam.m.{name}"] = m.copy()
             tensors[f"adam.v.{name}"] = v.copy()
     hyper = {"grid_width": str(cfg.grid.width), "grid_height": str(cfg.grid.height)}
@@ -419,22 +422,22 @@ def model_from_checkpoint(ckpt, expected: ModelConfig | None = None):
             raise ConfigMismatchError("checkpoint does not match configuration: " + "; ".join(diffs))
 
     model = ScanpathModel.create(cfg, np.random.default_rng(0))
-    names = model.parameters()
-    for name, t in names:
-        if name not in ckpt.tensors:
-            raise ConfigMismatchError(f"checkpoint is missing tensor '{name}'")
-        if ckpt.tensors[name].shape != t.data.shape:
-            raise ConfigMismatchError(
-                f"tensor '{name}' has shape {ckpt.tensors[name].shape}, expected {t.data.shape}")
-        t.data[...] = ckpt.tensors[name]
-
+    params = [t for _, t in model.parameters()]
+    targets = [("", [t.data for t in params])]
     adam = None
-    if f"adam.m.{names[0][0]}" in ckpt.tensors:
-        adam = AdamState(
-            step=int(ckpt.hyper.get("adam_step", "0")),
-            first_moment=[ckpt.tensors[f"adam.m.{n}"].copy() for n, _ in names],
-            second_moment=[ckpt.tensors[f"adam.v.{n}"].copy() for n, _ in names],
-        )
+    if any(name.startswith("adam.") for name in ckpt.tensors):
+        adam = AdamState.init(params)
+        adam.step = int(ckpt.hyper.get("adam_step", "0"))
+        targets += [("adam.m.", adam.first_moment), ("adam.v.", adam.second_moment)]
+    for prefix, arrays in targets:
+        for name, view in _checkpoint_views(model, arrays):
+            name = prefix + name
+            if name not in ckpt.tensors:
+                raise ConfigMismatchError(f"checkpoint is missing tensor '{name}'")
+            if ckpt.tensors[name].shape != view.shape:
+                raise ConfigMismatchError(
+                    f"tensor '{name}' has shape {ckpt.tensors[name].shape}, expected {view.shape}")
+            view[...] = ckpt.tensors[name]
 
     rng = None
     if "rng_state" in ckpt.hyper:

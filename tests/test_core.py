@@ -14,6 +14,7 @@ from scanpath.core import (
     nearest_pixel,
     spatialize,
 )
+from scanpath.data_io import Checkpoint, PreparedExample
 from scanpath.errors import BoundsError, ParameterError
 from scanpath.metrics import MetricConfig
 from scanpath.model import ModelConfig
@@ -173,3 +174,23 @@ def test_grid_and_scanpath_invariants():
 def test_rejects_nonfinite_and_out_of_range(make):
     with pytest.raises(ParameterError):
         make()
+
+
+def _array_holder(kind):
+    grid = GridSpec(4, 4)
+    path = Scanpath((GazePoint(1, 1, 0), GazePoint(2, 3, 1)), "img", "o")
+    if kind == "ProbMap":
+        return gaussian_map(GazePoint(1, 2), grid, 1.0)
+    if kind == "SpatializedScanpath":
+        return spatialize(path, grid, 1.0)
+    if kind == "PreparedExample":
+        return PreparedExample("img", (path,), (spatialize(path, grid, 1.0),), np.zeros((4, 4)))
+    return Checkpoint(tensors={"w": np.arange(3.0)}, hyper={"step": "1"})
+
+
+@pytest.mark.parametrize("kind", ["ProbMap", "SpatializedScanpath", "PreparedExample", "Checkpoint"])
+def test_array_holders_compare_and_hash_by_identity(kind):
+    # generated __eq__ would compare numpy arrays and raise on their ambiguous truth value
+    a, b = _array_holder(kind), _array_holder(kind)
+    assert a == a and a != b
+    assert hash(a) == hash(a) and isinstance(hash(b), int)

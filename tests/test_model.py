@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scanpath import autodiff as ad
-from scanpath.autodiff import sample_bayes_kernel
+from scanpath.autodiff import BayesConvParams, sample_bayes_kernel
 from scanpath.cli import RunConfig, load_features
 from scanpath.core import EPS, GazePoint, GridSpec, ProbMap, Scanpath, gaussian_map, map_argmax
 from scanpath.data_io import preprocess, read_checkpoint, synth_dataset, write_checkpoint, write_feature_tensor
@@ -138,6 +138,24 @@ def test_convlstm_step_matches_direct_transcription():
     assert np.abs(h.data - h_ref).max() < 1e-9
 
 
+def gate_views(model, l, arrays=None):
+    """{gate: {name: view}} over layer l's joined (mu, rho, bias_mu, bias_rho) posterior.
+
+    The views are into the layer's parameters, or into arrays of their shapes.
+    Names follow the checkpoint: x.mu, x.rho, x.bias_mu and x.bias_rho cover the
+    layer input's channels, h.mu and h.rho the hidden channels.
+    """
+    mu, rho, bias_mu, bias_rho = arrays or [t.data for _, t in model.conv_layers[l].tensors()]
+    hidden = bias_mu.shape[0] // 4
+    c_x = mu.shape[1] - hidden
+    views = {}
+    for j, gate in enumerate(GATE_ORDER):
+        rows = slice(j * hidden, (j + 1) * hidden)
+        views[gate] = {"x.mu": mu[rows, :c_x], "x.rho": rho[rows, :c_x], "x.bias_mu": bias_mu[rows],
+                       "x.bias_rho": bias_rho[rows], "h.mu": mu[rows, c_x:], "h.rho": rho[rows, c_x:]}
+    return views
+
+
 def test_model_rollout_matches_per_gate_stepping():
     # the model's fused gate computation must equal explicit convlstm_step calls
     cfg = tiny_cfg(layers=2, hidden_channels=3, n_fixations=3)
@@ -150,11 +168,13 @@ def test_model_rollout_matches_per_gate_stepping():
 
     rng2 = np.random.default_rng(7)
     sampled = []
-    for gates in model.conv_layers:
+    for l in range(cfg.layers):
         per_gate = {}
-        for gate in GATE_ORDER:
-            kx, b = sample_bayes_kernel(gates[gate].x, rng2)
-            kh, _ = sample_bayes_kernel(gates[gate].h, rng2)
+        for gate, views in gate_views(model, l).items():
+            v = {name: ad.constant(view) for name, view in views.items()}
+            x_side = BayesConvParams(v["x.mu"], v["x.rho"], v["x.bias_mu"], v["x.bias_rho"])
+            kx, b = sample_bayes_kernel(x_side, rng2)
+            kh, _ = sample_bayes_kernel(BayesConvParams(v["h.mu"], v["h.rho"]), rng2)
             per_gate[gate] = (kx, kh, b)
         sampled.append(per_gate)
     state = [(ad.constant(np.zeros((3, 8, 8))), ad.constant(np.zeros((3, 8, 8)))) for _ in range(2)]
@@ -178,16 +198,21 @@ def unfused_draw(mu, rho, rng):
     return ad.add(mu, ad.hadamard(ad.softplus(rho), ad.constant(rng.standard_normal(mu.shape))))
 
 
-def unfused_sample_layer_weights(model, rng):
-    """Per layer, gate-stacked x kernels, h kernels and biases, drawn in the model's order."""
+def unfused_sample_layer_weights(model, rng, leaves):
+    """Per layer, gate-stacked x kernels, h kernels and biases, drawn per gate in the model's order.
+
+    Each gate's posterior is drawn from its own leaf parameters, copied from its
+    views into the layer's joined posterior; leaves[l][gate] holds them.
+    """
     sampled = []
-    for gates in model.conv_layers:
+    for l in range(model.cfg.layers):
         kx, kh, biases = [], [], []
-        for gate in GATE_ORDER:
-            gx, gh = gates[gate].x, gates[gate].h
-            kx.append(unfused_draw(gx.mu, gx.rho, rng))
-            biases.append(unfused_draw(gx.bias_mu, gx.bias_rho, rng))
-            kh.append(unfused_draw(gh.mu, gh.rho, rng))
+        leaves.append({})
+        for gate, views in gate_views(model, l).items():
+            v = leaves[l][gate] = {name: ad.parameter(view) for name, view in views.items()}
+            kx.append(unfused_draw(v["x.mu"], v["x.rho"], rng))
+            biases.append(unfused_draw(v["x.bias_mu"], v["x.bias_rho"], rng))
+            kh.append(unfused_draw(v["h.mu"], v["h.rho"], rng))
         sampled.append((ad.concat0(kx), ad.concat0(kh), ad.concat0(biases)))
     return sampled
 
@@ -213,13 +238,21 @@ def test_train_step_matches_unfused_cell_oracle():
     cfg = TrainConfig(model=mcfg, loss=LossConfig(gamma=0.3, sigma=1.0), seed=3)
     fused, oracle = init_state(cfg), init_state(cfg)
     ref_model = oracle.model
-    ref_model._sample_layer_weights = lambda rng: unfused_sample_layer_weights(ref_model, rng)
+    leaves = []
+    ref_model._sample_layer_weights = lambda rng: unfused_sample_layer_weights(ref_model, rng, leaves)
     ref_model._run_stack = lambda x, state, sampled: unfused_run_stack(ref_model, x, state, sampled)
 
     loss, ref_loss = train_step(prepared[0], fused, cfg), train_step(prepared[0], oracle, cfg)
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
     grads = {name: t.grad for name, t in fused.model.parameters()}
     ref_grads = {name: t.grad for name, t in ref_model.parameters()}
+    for l, layer_leaves in enumerate(leaves):  # the oracle's gradients reach the per-gate leaves
+        joined = [np.zeros_like(t.data) for _, t in ref_model.conv_layers[l].tensors()]
+        for gate, views in gate_views(ref_model, l, joined).items():
+            for name, view in views.items():
+                view[...] = layer_leaves[gate][name].grad
+        ref_grads.update((f"convlstm.l{l}.{field}", g) for (field, _), g in
+                         zip(ref_model.conv_layers[l].tensors(), joined))
     scale = max(np.abs(r).max() for r in ref_grads.values())
     for name, r in ref_grads.items():
         if name == "head.bias":  # exactly 0: the map softmax ignores a shift
@@ -405,14 +438,13 @@ def test_state_constant_under_forced_memory():
     # saturate gates through the bias posteriors of a real model
     cfg = tiny_cfg(layers=1, hidden_channels=2, n_fixations=8)
     model = ScanpathModel.create(cfg, np.random.default_rng(19))
-    for gate in GATE_ORDER:
-        gp = model.conv_layers[0][gate]
-        gp.x.mu.data[...] = 0.0
-        gp.x.rho.data[...] = -40.0
-        gp.h.mu.data[...] = 0.0
-        gp.h.rho.data[...] = -40.0
-        gp.x.bias_rho.data[...] = -40.0
-        gp.x.bias_mu.data[...] = {"i": -40.0, "f": 40.0, "o": 0.0, "g": 0.0}[gate]
+    for gate, v in gate_views(model, 0).items():
+        v["x.mu"][...] = 0.0
+        v["x.rho"][...] = -40.0
+        v["h.mu"][...] = 0.0
+        v["h.rho"][...] = -40.0
+        v["x.bias_rho"][...] = -40.0
+        v["x.bias_mu"][...] = {"i": -40.0, "f": 40.0, "o": 0.0, "g": 0.0}[gate]
     feat = zero_features(model)
     frames = model.rollout_training(feat, np.random.default_rng(3),
                                     input_maps=[model.prior.g_c] * 7)
@@ -433,6 +465,41 @@ def test_checkpoint_round_trip_and_mismatch(tmp_path):
     for (na, ta), (nb, tb) in zip(model.parameters(), loaded.parameters()):
         assert na == nb
         assert np.array_equal(ta.data, tb.data)
+
+    # one joined posterior per ConvLSTM layer; the .spck layout still stores it per gate
+    names = [name for name, _ in model.parameters()]
+    assert len(names) == 16 and names[:8] == [f"convlstm.l{l}.{field}" for l in range(2)
+                                              for field in ("mu", "rho", "bias_mu", "bias_rho")]
+    rng = np.random.default_rng(21)
+    params = [t for _, t in model.parameters()]
+    adam = ad.AdamState(step=3, first_moment=[rng.standard_normal(t.shape) for t in params],
+                        second_moment=[rng.random(t.shape) for t in params])
+    ckpt = model_to_checkpoint(model, adam=adam, step=5)
+    hidden, k = 3, (3, 3)
+    layout = []
+    for l, c_x in enumerate((cfg.input_channels, hidden)):
+        for gate in ("i", "f", "o", "g"):
+            x, h = (hidden, c_x, *k), (hidden, hidden, *k)
+            layout += [(f"convlstm.l{l}.{gate}.{name}", shape) for name, shape in (
+                ("x.mu", x), ("x.rho", x), ("x.bias_mu", (hidden,)), ("x.bias_rho", (hidden,)),
+                ("h.mu", h), ("h.rho", h))]
+    layout += [("head.kernel", (1, hidden, 1, 1)), ("head.bias", (1,))]
+    for j, (c_out, c_in) in enumerate(((8, 1), (8, 8), (2, 8))):
+        layout += [(f"features.l{j}.kernel", (c_out, c_in, *k)), (f"features.l{j}.bias", (c_out,))]
+    layout += [(f"adam.{moment}.{name}", shape) for name, shape in layout for moment in ("m", "v")]
+    assert [(name, a.shape) for name, a in ckpt.tensors.items()] == layout
+    for l in range(2):
+        for gate, views in gate_views(model, l).items():
+            for name, view in views.items():
+                assert np.array_equal(ckpt.tensors[f"convlstm.l{l}.{gate}.{name}"], view)
+    write_checkpoint(path, ckpt)
+    loaded, loaded_adam, _, _ = model_from_checkpoint(read_checkpoint(path), expected=cfg)
+    for (na, ta), (nb, tb) in zip(model.parameters(), loaded.parameters()):
+        assert na == nb and np.array_equal(ta.data, tb.data)
+    assert loaded_adam.step == 3
+    for ours, theirs in ((adam.first_moment, loaded_adam.first_moment),
+                         (adam.second_moment, loaded_adam.second_moment)):
+        assert len(ours) == len(theirs) and all(np.array_equal(a, b) for a, b in zip(ours, theirs))
 
     other = tiny_cfg(layers=2, hidden_channels=5, feature_source="trainable", feature_channels=2)
     with pytest.raises(ConfigMismatchError, match="hidden_channels"):
