@@ -188,6 +188,28 @@ def map_argmax(m: ProbMap) -> GazePoint:
     return GazePoint(float(col), float(row))
 
 
+def align(cost: np.ndarray, step, border) -> np.ndarray:
+    """Fill a stack of alignment tables T[P, n + 1, m + 1] over the costs cost[P, n, m].
+
+    border(k) gives row 0 and column 0 at the indices k; then each cell is
+    T[:, i + 1, j + 1] = step(up, left, diag, cost[:, i, j]) of T at (i, j + 1),
+    (i + 1, j) and (i, j). A cell depends only on cells above and to its left.
+    """
+    P, n, m = cost.shape
+    T = np.empty((n + 1, m + 1, P))  # cell-major: each cell is one contiguous [P] vector
+    T[0], T[:, 0] = border(np.arange(m + 1))[:, None], border(np.arange(n + 1))[:, None]
+    for i, row in enumerate(np.moveaxis(cost, 0, -1)):
+        up, left = T[i], T[i + 1, 0]
+        for j, c in enumerate(row):
+            T[i + 1, j + 1] = left = step(up[j + 1], left, up[j], c)
+    return np.moveaxis(T, -1, 0)
+
+
+def inf_border(k: np.ndarray) -> np.ndarray:
+    """align's border for path costs: 0 at the corner and inf elsewhere, so every path starts at (0, 0)."""
+    return np.where(k == 0, 0.0, np.inf)
+
+
 def parse_value(raw: str, kind: str):
     """A config or checkpoint field's value from its text, by the field's type name.
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .core import GridSpec, ProbMap, Scanpath, SpatializedScanpath, gaussian_map, GazePoint, spatialize
+from .core import (GazePoint, GridSpec, ProbMap, Scanpath, SpatializedScanpath, align, gaussian_map, inf_border,
+                   spatialize)
 from .errors import ParameterError, ShapeError
 
 # Guard for the 1/KL regularizer when a prediction coincides with the prior.
@@ -92,12 +93,10 @@ def kl_div(p, q):
     return float(np.sum(pv * (np.log(pv) - np.log(qv))))
 
 
-def _soft_min_rows(a: np.ndarray, gamma: float):
-    """Stabilised soft-min over the last axis, and its weights d out / d a."""
+def _soft_min_rows(a: np.ndarray, gamma: float) -> np.ndarray:
+    """Stabilised soft-min over the last axis."""
     m = a.min(axis=-1, keepdims=True)
-    e = np.exp(-(a - m) / gamma)
-    z = e.sum(axis=-1, keepdims=True)
-    return (m - gamma * np.log(z))[..., 0], e / z
+    return (m - gamma * np.log(np.exp(-(a - m) / gamma).sum(axis=-1, keepdims=True)))[..., 0]
 
 
 def _stack_scalars(values) -> Tensor:
@@ -122,7 +121,7 @@ def soft_min(values, gamma: float):
         shift = float(x.data.min())  # max of -x / gamma, held constant
         scaled = ad.scalar_mul(ad.sub(x, ad.constant(np.full(x.shape, shift))), -1.0 / gamma)
         return ad.add(ad.scalar_mul(ad.tlog(ad.tsum(ad.texp(scaled))), -gamma), ad.constant(shift))
-    return float(_soft_min_rows(np.asarray(values, dtype=np.float64), gamma)[0])
+    return float(_soft_min_rows(np.asarray(values, dtype=np.float64), gamma))
 
 
 def _soft_dtw_dp(D: np.ndarray, gamma: float):
@@ -130,19 +129,16 @@ def _soft_dtw_dp(D: np.ndarray, gamma: float):
 
     Returns the alignment costs R[S] and the weights W[S, N + 1, M + 1, 3]
     that each cell's soft-min gives its (up, left, diagonal) predecessors;
-    row N and column M of W are zero padding for the backward pass.
+    row N and column M of W are zero padding for the backward pass. The
+    infinite border gets weight 0.
     """
     S, N, M = D.shape
-    # an infinite border gets weight 0: the first row and column then add up
-    # their single predecessor exactly, and cell (0, 0) starts from 0
-    R = np.full((S, N + 1, M + 1), np.inf)
-    R[:, 0, 0] = 0.0
+    R = align(D, lambda up, left, diag, d: d + _soft_min_rows(np.stack((up, left, diag), axis=-1), gamma),
+              inf_border)
+    prev = np.stack((R[:, :-1, 1:], R[:, 1:, :-1], R[:, :-1, :-1]), axis=-1)  # every cell's predecessors
+    e = np.exp(-(prev - prev.min(axis=-1, keepdims=True)) / gamma)
     W = np.zeros((S, N + 1, M + 1, 3))
-    for i in range(N):
-        for j in range(M):
-            prev = np.stack((R[:, i, j + 1], R[:, i + 1, j], R[:, i, j]), axis=-1)
-            smin, W[:, i, j] = _soft_min_rows(prev, gamma)
-            R[:, i + 1, j + 1] = D[:, i, j] + smin
+    W[:, :N, :M] = e / e.sum(axis=-1, keepdims=True)
     return R[:, N, M], W
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .core import GazePoint, GridSpec, Scanpath, group_by_image
+from .core import GazePoint, GridSpec, Scanpath, align, group_by_image, inf_border
 from .errors import DataError, ParameterError
 
 METRIC_ORDER = ("LEV", "SCAM", "HAU", "FRE", "fDTW", "TDE", "REC", "DET", "LAM", "CORM")
@@ -58,12 +59,8 @@ class MetricConfig:
         """Fill in image dimensions and radius from the data when unset."""
         w, h = self.image_width, self.image_height
         if w is None or h is None:
-            max_x = max_y = 0.0
-            for group in path_groups:
-                for s in group:
-                    c = s.coords()
-                    max_x = max(max_x, float(c[:, 0].max()))
-                    max_y = max(max_y, float(c[:, 1].max()))
+            tops = [s.coords().max(axis=0) for group in path_groups for s in group]
+            max_x, max_y = np.max(tops + [(0.0, 0.0)], axis=0)
             w = w if w is not None else math.floor(max_x) + 1.0
             h = h if h is not None else math.floor(max_y) + 1.0
         rho = self.recurrence_radius
@@ -96,90 +93,31 @@ def write_report_csv(report: MetricReport, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _require_nonempty(*paths):
-    for s in paths:
-        if s.n == 0:
-            raise ParameterError("metrics need nonempty scanpaths")
+def _coords(s: Scanpath) -> np.ndarray:
+    """(N, 2) coordinates of a scanpath; the metrics need them finite and nonnegative."""
+    c = s.coords()
+    if not np.all((c >= 0) & (c < np.inf)):
+        raise ParameterError(f"scanpath {s.observer_id!r} of {s.image_id!r}: coordinates must be finite, >= 0")
+    return c
 
 
-def _bin_sequence(s: Scanpath, cfg: MetricConfig) -> list[int]:
-    w, h = cfg.image_width, cfg.image_height
-    cols, rows = cfg.bin_cols, cfg.bin_rows
-    out = []
-    for p in s.points:
-        c = min(int(p.x * cols / w), cols - 1)
-        r = min(int(p.y * rows / h), rows - 1)
-        out.append(r * cols + c)
-    return out
+def _distances(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Euclidean distance between every row of pa and every row of pb, over pb's leading stack axes."""
+    return np.sqrt(((pa[..., :, None, :] - pb[..., None, :, :]) ** 2).sum(axis=-1))
 
 
-def _bin_center(b: int, cfg: MetricConfig) -> tuple[float, float]:
-    r, c = divmod(b, cfg.bin_cols)
-    return (
-        (c + 0.5) * cfg.image_width / cfg.bin_cols,
-        (r + 0.5) * cfg.image_height / cfg.bin_rows,
-    )
+def _edit_step(up, left, diag, mismatch):
+    return np.minimum(np.minimum(up + 1, left + 1), diag + mismatch)
+
+
+def _dtw_step(up, left, diag, d):
+    return d + np.minimum(np.minimum(up, left), diag)
 
 
 def levenshtein(a, b) -> int:
     """Classic edit distance between two symbol sequences."""
-    n, m = len(a), len(b)
-    prev = list(range(m + 1))
-    for i in range(1, n + 1):
-        cur = [i] + [0] * m
-        for j in range(1, m + 1):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-        prev = cur
-    return prev[m]
-
-
-def string_metrics(a: Scanpath, b: Scanpath, cfg: MetricConfig) -> tuple[float, float]:
-    """LEV: edit distance between bin strings. SCAM: normalized alignment score.
-
-    SCAM runs Needleman-Wunsch with gap penalty 0 and substitution score
-    (d_max - d) / d_max, where d is the Euclidean distance between bin
-    centers and d_max the distance between the two extreme corner bins.
-    """
-    _require_nonempty(a, b)
-    cfg = cfg.resolved([a], [b])
-    sa, sb = _bin_sequence(a, cfg), _bin_sequence(b, cfg)
-    lev = float(levenshtein(sa, sb))
-
-    c0 = _bin_center(0, cfg)
-    c1 = _bin_center(cfg.bin_rows * cfg.bin_cols - 1, cfg)
-    d_max = math.dist(c0, c1)
-    n, m = len(sa), len(sb)
-    H = np.zeros((n + 1, m + 1))
-    for i in range(1, n + 1):
-        pa = _bin_center(sa[i - 1], cfg)
-        for j in range(1, m + 1):
-            sub = (d_max - math.dist(pa, _bin_center(sb[j - 1], cfg))) / d_max
-            H[i, j] = max(H[i - 1, j - 1] + sub, H[i - 1, j], H[i, j - 1])
-    scam = float(H[n, m]) / max(n, m)
-    return lev, scam
-
-
-def _distances(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Euclidean distance between every row of pa and every row of pb."""
-    return np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2))
-
-
-def curve_metrics(a: Scanpath, b: Scanpath) -> tuple[float, float]:
-    """HAU: symmetric Hausdorff distance. FRE: discrete Frechet distance."""
-    _require_nonempty(a, b)
-    d = _distances(a.coords(), b.coords())
-    hau = float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-
-    # an infinite border and a 0 corner: the first row and column take their
-    # single predecessor and cell (0, 0) its own distance
-    n, m = d.shape
-    ca = np.full((n + 1, m + 1), np.inf)
-    ca[0, 0] = 0.0
-    for i in range(n):
-        for j in range(m):
-            ca[i + 1, j + 1] = max(min(ca[i, j + 1], ca[i, j], ca[i + 1, j]), d[i, j])
-    return hau, float(ca[n, m])
+    mismatch = np.array([x != y for x in a for y in b], dtype=np.float64).reshape(1, len(a), len(b))
+    return int(align(mismatch, _edit_step, lambda k: k)[0, -1, -1])
 
 
 def hard_dtw(delta: np.ndarray) -> float:
@@ -189,13 +127,106 @@ def hard_dtw(delta: np.ndarray) -> float:
         raise ParameterError("hard_dtw needs a nonempty 2-D cost matrix")
     if not np.isfinite(delta).all():
         raise ParameterError("hard_dtw needs finite costs")
-    n, m = delta.shape
-    R = np.full((n + 1, m + 1), np.inf)
-    R[0, 0] = 0.0
-    for i in range(n):
-        for j in range(m):
-            R[i + 1, j + 1] = delta[i, j] + min(R[i, j + 1], R[i + 1, j], R[i, j])
-    return float(R[n, m])
+    return float(align(delta[None], _dtw_step, inf_border)[0, -1, -1])
+
+
+def _bins(xy: np.ndarray, cfg: MetricConfig) -> np.ndarray:
+    """Bin r * bin_cols + c of every point; points at or past the far edge fall in the last bin."""
+    grid = np.array([cfg.bin_cols, cfg.bin_rows])
+    col_row = np.minimum(xy * grid / np.array([cfg.image_width, cfg.image_height]), grid - 1).astype(np.intp)
+    return col_row[..., 1] * cfg.bin_cols + col_row[..., 0]
+
+
+@lru_cache(maxsize=16)
+def _scam_scores(cols: int, rows: int, width: float, height: float) -> np.ndarray:
+    """SCAM substitution score (d_max - d) / d_max of every pair of bins, d between their centers."""
+    centers = [((c + 0.5) * width / cols, (r + 0.5) * height / rows) for r in range(rows) for c in range(cols)]
+    d_max = math.dist(centers[0], centers[-1])
+    out = np.array([[(d_max - math.dist(p, q)) / d_max for q in centers] for p in centers])
+    out.flags.writeable = False
+    return out
+
+
+def _run_marks(R: np.ndarray, di: int, dj: int, min_line: int) -> np.ndarray:
+    """Cells of R[..., n, m] on a run of at least min_line ones along the step (di, dj).
+
+    A run starts wherever min_line shifted copies of R are all one; every cell
+    of such a window is on the run.
+    """
+    n, m = R.shape[-2:]
+    h, w = max(n - (min_line - 1) * di, 0), max(m - (min_line - 1) * dj, 0)
+    windows = [(..., slice(t * di, t * di + h), slice(t * dj, t * dj + w)) for t in range(min_line)]
+    starts = np.logical_and.reduce([R[win] for win in windows])
+    marks = np.zeros_like(R)
+    for win in windows:
+        marks[win] |= starts
+    return marks
+
+
+def _scores(a: np.ndarray, partners: list[np.ndarray], cfg: MetricConfig) -> tuple:
+    """The ten metrics of a against each of its P partners, as [P] arrays in METRIC_ORDER.
+
+    The partners are zero-padded to the longest one and their distances set to
+    inf there. A table that core.align fills over all pairs is read at each
+    pair's own corner (n, m_p), which the padded columns to its right never reach.
+    TDE is nan where undefined.
+    """
+    n, m = len(a), np.array([len(b) for b in partners])
+    valid = np.arange(m.max()) < m[:, None]
+    b = np.zeros(valid.shape + (2,))
+    b[valid] = np.concatenate(partners)
+    d = np.where(valid[:, None, :], _distances(a, b), np.inf)
+    ends = (np.arange(len(partners)), n, m)
+
+    bins_a, bins_b = _bins(a, cfg)[:, None], _bins(b, cfg)[:, None, :]
+    lev = align((bins_a != bins_b).astype(np.float64), _edit_step, lambda k: k)[ends]
+    sub = _scam_scores(cfg.bin_cols, cfg.bin_rows, cfg.image_width, cfg.image_height)[bins_a, bins_b]
+    nw = align(sub, lambda up, left, diag, s: np.maximum(np.maximum(diag + s, up), left), np.zeros_like)
+
+    hau = np.maximum(d.min(axis=2).max(axis=1), np.where(valid, d.min(axis=1), -np.inf).max(axis=1))
+    fre = align(d, lambda up, left, diag, c: np.maximum(np.minimum(np.minimum(up, left), diag), c), inf_border)
+
+    k, tde = cfg.tde_k, np.full(len(partners), np.nan)
+    if n >= k and b.shape[1] >= k:
+        # delay embedding: window j holds points j to j + k - 1, flattened
+        wa, wb = (np.concatenate([xy[..., t:xy.shape[-2] - k + 1 + t, :] for t in range(k)], axis=-1)
+                  for xy in (a, b))
+        own = np.arange(wb.shape[1]) <= (m - k)[:, None]
+        tde_d = np.where(own[:, None, :], _distances(wa, wb), np.inf)
+        tde = np.where(m >= k, tde_d.min(axis=2).mean(axis=1), np.nan)
+
+    R = d <= cfg.recurrence_radius
+    C = R.sum(axis=(1, 2))
+    shown = np.maximum(C, 1)  # a pair with no recurrent point scores 0 on all four
+    det = _run_marks(R, 1, 1, cfg.min_line).sum(axis=(1, 2))
+    lam = (_run_marks(R, 0, 1, cfg.min_line) | _run_marks(R, 1, 0, cfg.min_line)).sum(axis=(1, 2))
+    corm = 100.0 * ((np.arange(R.shape[2]) - np.arange(n)[:, None]) * R).sum(axis=(1, 2))
+    corm = np.where(m == 1, 0.0, corm / (np.maximum(m - 1, 1) * shown))
+    return (lev, nw[ends] / np.maximum(n, m), hau, fre[ends], align(d, _dtw_step, inf_border)[ends], tde,
+            100.0 * C / (n * m), 100.0 * det / shown, 100.0 * lam / shown, corm)
+
+
+def all_metrics(a: Scanpath, b: Scanpath, cfg: MetricConfig) -> dict:
+    """The ten metrics of one pair, by name; TDE is None where undefined."""
+    scores = _scores(_coords(a), [_coords(b)], cfg.resolved([a], [b]))
+    return {k: None if np.isnan(v[0]) else float(v[0]) for k, v in zip(METRIC_ORDER, scores)}
+
+
+def string_metrics(a: Scanpath, b: Scanpath, cfg: MetricConfig) -> tuple[float, float]:
+    """LEV: edit distance between bin strings. SCAM: normalized alignment score.
+
+    SCAM runs Needleman-Wunsch with gap penalty 0 and substitution score
+    (d_max - d) / d_max, where d is the Euclidean distance between bin
+    centers and d_max the distance between the two extreme corner bins.
+    """
+    m = all_metrics(a, b, cfg)
+    return m["LEV"], m["SCAM"]
+
+
+def curve_metrics(a: Scanpath, b: Scanpath) -> tuple[float, float]:
+    """HAU: symmetric Hausdorff distance. FRE: discrete Frechet distance."""
+    m = all_metrics(a, b, MetricConfig())
+    return m["HAU"], m["FRE"]
 
 
 def series_metrics(a: Scanpath, b: Scanpath, cfg: MetricConfig) -> tuple[float, float | None]:
@@ -204,33 +235,8 @@ def series_metrics(a: Scanpath, b: Scanpath, cfg: MetricConfig) -> tuple[float, 
     TDE is None (undefined, excluded from aggregation) when either path is
     shorter than the embedding length k.
     """
-    _require_nonempty(a, b)
-    pa, pb = a.coords(), b.coords()
-    fdtw = hard_dtw(_distances(pa, pb))
-
-    k = cfg.tde_k
-    if len(pa) < k or len(pb) < k:
-        return fdtw, None
-    wa = np.array([pa[i:i + k].reshape(-1) for i in range(len(pa) - k + 1)])
-    wb = np.array([pb[j:j + k].reshape(-1) for j in range(len(pb) - k + 1)])
-    tde = float(_distances(wa, wb).min(axis=1).mean())
-    return fdtw, tde
-
-
-def _run_marks(R: np.ndarray, di: int, dj: int, min_line: int) -> np.ndarray:
-    """Cells of R on a run of at least min_line ones along the step (di, dj).
-
-    A run starts wherever min_line shifted copies of R are all one; every cell
-    of such a window is on the run.
-    """
-    n, m = R.shape
-    h, w = max(n - (min_line - 1) * di, 0), max(m - (min_line - 1) * dj, 0)
-    windows = [(slice(t * di, t * di + h), slice(t * dj, t * dj + w)) for t in range(min_line)]
-    starts = np.logical_and.reduce([R[win] for win in windows])
-    marks = np.zeros_like(R)
-    for win in windows:
-        marks[win] |= starts
-    return marks
+    m = all_metrics(a, b, cfg)
+    return m["fDTW"], m["TDE"]
 
 
 def recurrence_metrics(a: Scanpath, b: Scanpath, cfg: MetricConfig):
@@ -241,49 +247,21 @@ def recurrence_metrics(a: Scanpath, b: Scanpath, cfg: MetricConfig):
     those on horizontal or vertical runs, CORM locates the recurrence mass
     relative to the main diagonal.
     """
-    _require_nonempty(a, b)
-    cfg = cfg.resolved([a], [b])
-    R = _distances(a.coords(), b.coords()) <= cfg.recurrence_radius
-    n, m = R.shape
-    C = int(R.sum())
-    if C == 0:
-        return 0.0, 0.0, 0.0, 0.0
-
-    rec = 100.0 * C / (n * m)
-
-    det = 100.0 * _run_marks(R, 1, 1, cfg.min_line).sum() / C
-    hv_marks = _run_marks(R, 0, 1, cfg.min_line) | _run_marks(R, 1, 0, cfg.min_line)
-    lam = 100.0 * hv_marks.sum() / C
-
-    if m == 1:
-        corm = 0.0
-    else:
-        jj, ii = np.meshgrid(np.arange(m), np.arange(n))
-        corm = 100.0 * float(((jj - ii) * R).sum()) / ((m - 1) * C)
-    return float(rec), float(det), float(lam), float(corm)
+    m = all_metrics(a, b, cfg)
+    return m["REC"], m["DET"], m["LAM"], m["CORM"]
 
 
-def all_metrics(a: Scanpath, b: Scanpath, cfg: MetricConfig) -> dict:
-    lev, scam = string_metrics(a, b, cfg)
-    hau, fre = curve_metrics(a, b)
-    fdtw, tde = series_metrics(a, b, cfg)
-    rec, det, lam, corm = recurrence_metrics(a, b, cfg)
-    return {
-        "LEV": lev, "SCAM": scam, "HAU": hau, "FRE": fre,
-        "fDTW": fdtw, "TDE": tde, "REC": rec, "DET": det, "LAM": lam, "CORM": corm,
-    }
+def _report(groups, cfg: MetricConfig) -> MetricReport:
+    """Mean and standard deviation of every metric over the pairs of all (a, partners) groups.
 
-
-def _report(pairs, cfg: MetricConfig) -> MetricReport:
-    """Mean and standard deviation of every metric over the (a, b) pairs; undefined values are left out."""
-    scores = [all_metrics(a, b, cfg) for a, b in pairs]
-    means, stds, counts = {}, {}, {}
-    for metric in METRIC_ORDER:
-        vals = np.array([s[metric] for s in scores if s[metric] is not None], dtype=np.float64)
-        counts[metric] = len(vals)
-        means[metric] = float(vals.mean()) if len(vals) else float("nan")
-        stds[metric] = float(vals.std()) if len(vals) else float("nan")
-    return MetricReport(means=means, stds=stds, n_pairs=counts)
+    Undefined values are left out.
+    """
+    columns = zip(*(_scores(a, partners, cfg) for a, partners in groups))
+    vals = {metric: v[~np.isnan(v)] for metric, v in zip(METRIC_ORDER, map(np.concatenate, columns))}
+    nan = float("nan")
+    return MetricReport(means={m: float(v.mean()) if len(v) else nan for m, v in vals.items()},
+                        stds={m: float(v.std()) if len(v) else nan for m, v in vals.items()},
+                        n_pairs={m: len(v) for m, v in vals.items()})
 
 
 def evaluate_set(predicted, ground_truth, cfg: MetricConfig) -> MetricReport:
@@ -291,12 +269,13 @@ def evaluate_set(predicted, ground_truth, cfg: MetricConfig) -> MetricReport:
     predicted, ground_truth = list(predicted), list(ground_truth)
     if not predicted or not ground_truth:
         raise ParameterError("evaluate_set needs nonempty scanpath lists")
-    cfg = cfg.resolved(predicted, ground_truth)
-    by_image = group_by_image(ground_truth)
+    truth = {image_id: [_coords(g) for g in paths] for image_id, paths in group_by_image(ground_truth).items()}
+    groups = []
     for p in predicted:
-        if p.image_id not in by_image:
+        if p.image_id not in truth:
             raise DataError(f"no ground truth for image '{p.image_id}'")
-    return _report(((p, g) for p in predicted for g in by_image[p.image_id]), cfg)
+        groups.append((_coords(p), truth[p.image_id]))
+    return _report(groups, cfg.resolved(predicted, ground_truth))
 
 
 def human_baseline(ground_truth, cfg: MetricConfig) -> MetricReport:
@@ -304,16 +283,16 @@ def human_baseline(ground_truth, cfg: MetricConfig) -> MetricReport:
     ground_truth = list(ground_truth)
     if not ground_truth:
         raise ParameterError("human_baseline needs scanpaths")
-    cfg = cfg.resolved(ground_truth)
-    pairs = []
+    groups = []
     for image_id, paths in group_by_image(ground_truth).items():
+        xy = [_coords(s) for s in paths]
         if len(paths) < 2:
             warnings.warn(f"image '{image_id}' has a single scanpath; excluded from human baseline")
             continue
-        pairs += [(p, g) for i, p in enumerate(paths) for j, g in enumerate(paths) if i != j]
-    if not pairs:
+        groups += [(a, xy[:i] + xy[i + 1:]) for i, a in enumerate(xy)]
+    if not groups:
         raise DataError("no image has two or more scanpaths")
-    return _report(pairs, cfg)
+    return _report(groups, cfg.resolved(ground_truth))
 
 
 def random_baseline(grid: GridSpec, n_points: int, count: int, rng: np.random.Generator,

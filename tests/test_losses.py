@@ -10,6 +10,7 @@ from scanpath.errors import ParameterError, ShapeError
 from scanpath.losses import (
     CenterPrior,
     LossConfig,
+    _soft_dtw_dp,
     kl_div,
     kl_dtw_loss,
     lambda_schedule,
@@ -100,6 +101,23 @@ def per_cell_kl_dtw_loss(preds, truth, cfg, grid):
             prev = cur
         total = prev[-1] if total is None else ad.add(total, prev[-1])
     return ad.scalar_mul(total, 1.0 / len(truth))
+
+
+def per_cell_soft_dtw_dp(D, gamma):
+    """Soft-DTW over a stack D[S, N, M] cell by cell, storing each cell's soft-min weights as it goes."""
+    S, N, M = D.shape
+    R = np.full((S, N + 1, M + 1), np.inf)
+    R[:, 0, 0] = 0.0
+    W = np.zeros((S, N + 1, M + 1, 3))
+    for i in range(N):
+        for j in range(M):
+            prev = np.stack((R[:, i, j + 1], R[:, i + 1, j], R[:, i, j]), axis=-1)
+            m = prev.min(axis=-1, keepdims=True)
+            e = np.exp(-(prev - m) / gamma)
+            z = e.sum(axis=-1, keepdims=True)
+            W[:, i, j] = e / z
+            R[:, i + 1, j + 1] = D[:, i, j] + (m - gamma * np.log(z))[..., 0]
+    return R[:, N, M], W
 
 
 def graph_ids(roots):
@@ -243,6 +261,18 @@ def test_soft_dtw_random_matrices_vs_oracle():
         for gamma in (1.0, 0.1):
             assert abs(soft_dtw(delta, gamma) - brute_soft_min(costs, gamma)) < 1e-9
         assert abs(soft_dtw(delta, 1e-6) - min(costs)) < 1e-4
+
+
+def test_soft_dtw_table_matches_per_cell_oracle():
+    """The table filled by core.align and the weights recomputed from it equal the per-cell program's."""
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        D = rng.uniform(0, 5, rng.integers(1, [6, 10, 10])) * rng.choice([1e-3, 1.0, 100.0])
+        gamma = float(rng.choice([1e-3, 0.1, 1.0, 10.0]))
+        R, W = _soft_dtw_dp(D, gamma)
+        want_R, want_W = per_cell_soft_dtw_dp(D, gamma)
+        assert np.array_equal(R, want_R)
+        assert np.array_equal(W, want_W)
 
 
 def test_soft_dtw_bound_and_monotone_convergence():

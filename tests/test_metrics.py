@@ -52,6 +52,155 @@ def brute_frechet(pa, pb):
     return c(len(pa) - 1, len(pb) - 1)
 
 
+def pair_distances(pa, pb):
+    return np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2))
+
+
+# ---------------------------------------------------------------------------
+# per-cell oracles of the four alignment metrics
+
+
+def oracle_levenshtein(a, b):
+    """Edit distance by the list-based row recurrence."""
+    prev = list(range(len(b) + 1))
+    for i in range(1, len(a) + 1):
+        cur = [i] + [0] * len(b)
+        for j in range(1, len(b) + 1):
+            cost = 0 if a[i - 1] == b[j - 1] else 1
+            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
+        prev = cur
+    return prev[len(b)]
+
+
+def oracle_bins(s, cfg):
+    """(bin, bin center) of every point, one point at a time."""
+    w, h, cols, rows = cfg.image_width, cfg.image_height, cfg.bin_cols, cfg.bin_rows
+    out = []
+    for p in s.points:
+        c, r = min(int(p.x * cols / w), cols - 1), min(int(p.y * rows / h), rows - 1)
+        out.append((r * cols + c, ((c + 0.5) * w / cols, (r + 0.5) * h / rows)))
+    return out
+
+
+def oracle_scam(a, b, cfg):
+    """SCAM by a per-cell Needleman-Wunsch table, gap penalty 0."""
+    w, h, cols, rows = cfg.image_width, cfg.image_height, cfg.bin_cols, cfg.bin_rows
+    corner = ((0 + 0.5) * w / cols, (0 + 0.5) * h / rows)
+    d_max = math.dist(corner, ((cols - 1 + 0.5) * w / cols, (rows - 1 + 0.5) * h / rows))
+    ca, cb = [c for _, c in oracle_bins(a, cfg)], [c for _, c in oracle_bins(b, cfg)]
+    H = np.zeros((len(ca) + 1, len(cb) + 1))
+    for i in range(1, len(ca) + 1):
+        for j in range(1, len(cb) + 1):
+            sub = (d_max - math.dist(ca[i - 1], cb[j - 1])) / d_max
+            H[i, j] = max(H[i - 1, j - 1] + sub, H[i - 1, j], H[i, j - 1])
+    return float(H[len(ca), len(cb)]) / max(len(ca), len(cb))
+
+
+def oracle_frechet(d):
+    """Discrete Frechet distance by a per-cell table with an inf border and a 0 corner."""
+    n, m = d.shape
+    ca = np.full((n + 1, m + 1), np.inf)
+    ca[0, 0] = 0.0
+    for i in range(n):
+        for j in range(m):
+            ca[i + 1, j + 1] = max(min(ca[i, j + 1], ca[i, j], ca[i + 1, j]), d[i, j])
+    return float(ca[n, m])
+
+
+def oracle_dtw(delta):
+    """DTW total cost by a per-cell table with an inf border and a 0 corner."""
+    n, m = delta.shape
+    R = np.full((n + 1, m + 1), np.inf)
+    R[0, 0] = 0.0
+    for i in range(n):
+        for j in range(m):
+            R[i + 1, j + 1] = delta[i, j] + min(R[i, j + 1], R[i + 1, j], R[i, j])
+    return float(R[n, m])
+
+
+def oracle_alignment_metrics(a, b, cfg):
+    """LEV, SCAM, FRE and fDTW of one pair under a resolved config, from the oracles."""
+    d = pair_distances(a.coords(), b.coords())
+    lev = float(oracle_levenshtein([k for k, _ in oracle_bins(a, cfg)], [k for k, _ in oracle_bins(b, cfg)]))
+    return {"LEV": lev, "SCAM": oracle_scam(a, b, cfg), "FRE": oracle_frechet(d), "fDTW": oracle_dtw(d)}
+
+
+def random_path(rng, n, lattice, image_id="img", observer_id="o"):
+    """Uniform points, or with lattice set integer points on a 6x6 lattice, where distances and bins tie."""
+    if lattice:
+        return path((rng.integers(0, 6, (n, 2)) * 13).tolist(), image_id, observer_id)
+    return path(np.column_stack([rng.uniform(0, 80, n), rng.uniform(0, 50, n)]).tolist(), image_id, observer_id)
+
+
+def random_metric_config(rng):
+    radius = [None, float(rng.uniform(0.5, 40)), 1.0, 2.0, 1000.0][rng.integers(0, 5)]
+    dims = {} if rng.random() < 0.5 else {"image_width": 80, "image_height": 50}
+    return MetricConfig(recurrence_radius=radius, min_line=int(rng.integers(2, 6)),
+                        tde_k=int(rng.integers(1, 4)), **dims)
+
+
+def test_alignment_metrics_equal_per_cell_oracles():
+    rng = np.random.default_rng(16)
+    for t in range(400):
+        a = random_path(rng, int(rng.integers(1, 13)), t % 4 == 0)
+        b = random_path(rng, int(rng.integers(1, 13)), t % 4 == 0)
+        cfg = random_metric_config(rng)
+        got = all_metrics(a, b, cfg)
+        for metric, want in oracle_alignment_metrics(a, b, cfg.resolved([a], [b])).items():
+            assert got[metric] == want, metric
+        delta = rng.uniform(0, 5, rng.integers(1, 9, 2))
+        assert hard_dtw(delta) == oracle_dtw(delta)
+        sa, sb = ("".join(rng.choice(list("abc"), rng.integers(0, 9))) for _ in range(2))
+        assert levenshtein(sa, sb) == oracle_levenshtein(sa, sb)
+
+
+def test_reports_score_each_pair_against_its_own_partners():
+    """Scoring a scanpath against all its partners at once, padded to the longest, gives every pair
+    the scores it gets alone: the per-cell oracles for the alignment metrics, a one-pair call for the rest."""
+    rng = np.random.default_rng(17)
+    for t in range(12):
+        lattice = t % 3 == 0
+        truth, predicted = [], []
+        for img in range(int(rng.integers(1, 4))):
+            truth += [random_path(rng, int(rng.integers(1, 13)), lattice, f"i{img}", f"t{o}")
+                      for o in range(int(rng.integers(2, 6)))]
+            predicted += [random_path(rng, int(rng.integers(1, 13)), lattice, f"i{img}", f"p{o}")
+                          for o in range(int(rng.integers(1, 4)))]
+        cfg = random_metric_config(rng)
+        by_image = {}
+        for g in truth:
+            by_image.setdefault(g.image_id, []).append(g)
+        eval_pairs = [(p, g) for p in predicted for g in by_image[p.image_id]]
+        human_pairs = [(p, g) for paths in by_image.values() for p in paths for g in paths if g is not p]
+        for report, pairs, rcfg in (
+                (evaluate_set(predicted, truth, cfg), eval_pairs, cfg.resolved(predicted, truth)),
+                (human_baseline(truth, cfg), human_pairs, cfg.resolved(truth))):
+            scores = [{**all_metrics(a, b, rcfg), **oracle_alignment_metrics(a, b, rcfg)} for a, b in pairs]
+            for metric in METRIC_ORDER:
+                vals = np.array([s[metric] for s in scores if s[metric] is not None])
+                assert report.n_pairs[metric] == len(vals), metric
+                if len(vals):
+                    assert (report.means[metric], report.stds[metric]) == (vals.mean(), vals.std()), metric
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -30.0])
+def test_metrics_reject_nonfinite_or_negative_coordinates(bad):
+    good = path([(5, 5), (25, 15)], observer_id="g")
+    for cfg in (CFG, MetricConfig()):
+        for point in ((bad, 5.0), (5.0, bad)):
+            worse = path([(1, 1), point], observer_id="w")
+            for a, b in ((good, worse), (worse, good)):
+                for score in (all_metrics, string_metrics, series_metrics, recurrence_metrics):
+                    with pytest.raises(ParameterError):
+                        score(a, b, cfg)
+                with pytest.raises(ParameterError):
+                    curve_metrics(a, b)
+                with pytest.raises(ParameterError):
+                    evaluate_set([a], [b], cfg)
+                with pytest.raises(ParameterError):
+                    human_baseline([a, b], cfg)
+
+
 # ---------------------------------------------------------------------------
 # string metrics
 
