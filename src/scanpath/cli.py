@@ -2,7 +2,8 @@
 
 Every command reads a flat key=value run config, writes a manifest and a full
 config echo into its output directory, and is deterministic given --seed.
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data/format or file-system error,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -152,6 +153,11 @@ def _apply_overrides(rc: RunConfig, args) -> RunConfig:
     return rc
 
 
+def _require_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise ParameterError(f"{flag} must be at least 1, got {value}")
+
+
 def _load_dataset(rc: RunConfig, override_csv=None):
     csv = override_csv or rc.dataset_csv
     if not csv:
@@ -207,6 +213,7 @@ def _load_model(rc: RunConfig, checkpoint_path):
 
 
 def cmd_predict(args) -> int:
+    _require_positive("--count", args.count)
     rc = _apply_overrides(load_run_config(args.config), args)
     model, _ = _load_model(rc, args.checkpoint)
     dataset = _load_dataset(rc, args.dataset)
@@ -233,6 +240,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_complete(args) -> int:
+    _require_positive("--repeats", args.repeats)
     rc = _apply_overrides(load_run_config(args.config), args)
     if not (1 <= args.prefix_len <= rc.n_fixations - 1):
         raise ParameterError(
@@ -395,7 +403,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (FormatError, DataError, ConfigMismatchError, FileNotFoundError) as exc:
+    except (FormatError, DataError, ConfigMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ParameterError, ScanpathError) as exc:

@@ -10,6 +10,7 @@ The loss log and checkpoints are byte-reproducible functions of
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -99,12 +100,27 @@ def _checkpoint(state: TrainState) -> Checkpoint:
     )
 
 
+def _log_rows_through(path: Path, step: int) -> list[str]:
+    """The complete rows of an existing loss log with step <= `step`; none when there is no log."""
+    if not path.is_file():
+        return []
+    rows = []
+    for line in path.read_text(encoding="utf-8", errors="replace").splitlines(keepends=True)[1:]:
+        row_step = line.partition(",")[0]
+        if line.endswith("\n") and row_step.isdigit() and int(row_step) <= step:
+            rows.append(line)
+    return rows
+
+
 def train(prepared: list[PreparedExample], cfg: TrainConfig, out_dir,
           features=None, resume_from=None):
     """Run the loop; writes loss_log.csv and checkpoints, returns (path, log).
 
     resume_from restores parameters, optimizer moments, the step counter and
     the generator state, reproducing the uninterrupted trajectory exactly.
+    Each loss_log.csv row is flushed as its step finishes, so a crashed run
+    keeps its log; a resumed run keeps the rows up to the checkpoint's step
+    and appends after them. The returned log holds this call's steps only.
     """
     if not prepared:
         raise DataError("training needs at least one prepared image")
@@ -125,26 +141,31 @@ def train(prepared: list[PreparedExample], cfg: TrainConfig, out_dir,
     if resume_from is None:
         write_checkpoint(out / "checkpoint_000000.spck", _checkpoint(state))
 
+    log_path = out / "loss_log.csv"
+    kept = _log_rows_through(log_path, state.step) if resume_from is not None else []
+    tmp = log_path.with_name(log_path.name + ".tmp")
+    tmp.write_text("step,loss\n" + "".join(kept), encoding="utf-8")
+    os.replace(tmp, log_path)
+
     n = len(prepared)
     log: list[tuple[int, float]] = []
     order, order_epoch = None, -1
-    while state.step < cfg.max_steps:
-        epoch, offset = divmod(state.step, n)
-        if epoch != order_epoch:
-            order, order_epoch = _epoch_order(cfg.seed, epoch, n), epoch
-        example = prepared[int(order[offset])]
-        value = train_step(example, state, cfg, features=features)
-        log.append((state.step, value))
-        if cfg.checkpoint_every and state.step % cfg.checkpoint_every == 0:
-            write_checkpoint(out / f"checkpoint_{state.step:06d}.spck", _checkpoint(state))
+    with open(log_path, "a", encoding="utf-8") as fh:
+        while state.step < cfg.max_steps:
+            epoch, offset = divmod(state.step, n)
+            if epoch != order_epoch:
+                order, order_epoch = _epoch_order(cfg.seed, epoch, n), epoch
+            example = prepared[int(order[offset])]
+            value = train_step(example, state, cfg, features=features)
+            log.append((state.step, value))
+            fh.write(f"{state.step},{value!r}\n")
+            fh.flush()
+            if cfg.checkpoint_every and state.step % cfg.checkpoint_every == 0:
+                write_checkpoint(out / f"checkpoint_{state.step:06d}.spck", _checkpoint(state))
 
     if log or resume_from is not None:
         final_path = out / "checkpoint_final.spck"
         write_checkpoint(final_path, _checkpoint(state))
     else:
         final_path = out / "checkpoint_000000.spck"
-    with open(out / "loss_log.csv", "w", encoding="utf-8") as fh:
-        fh.write("step,loss\n")
-        for step, value in log:
-            fh.write(f"{step},{value!r}\n")
     return final_path, log

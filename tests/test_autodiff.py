@@ -248,6 +248,42 @@ def test_lstm_cell_values_and_grad_check():
         lstm_cell(constant(pre_v[:6]), constant(c_v))
 
 
+def exact_logistic(x):
+    """The logistic in extended precision, evaluated from the side that cannot overflow."""
+    x = np.asarray(x, dtype=np.longdouble)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
+
+
+def test_gate_sigmoid_is_within_two_ulps_of_the_logistic():
+    x = np.linspace(-750.0, 750.0, 300_001)
+    with np.errstate(all="raise"):
+        assert np.abs(ad._gate_sigmoid(x) - exact_logistic(x)).max() <= 2.3e-16
+        assert abs(ad._gate_sigmoid(np.array(0.7)) - exact_logistic(0.7)) <= 2.3e-16
+        assert ad._gate_sigmoid(np.array(0.0)) == 0.5
+        # the cell's forget gate reads it: with c_prev = 1 and g = 0, c = f
+        pre = np.zeros((4, x.size))
+        pre[1] = x
+        _, c = lstm_cell(constant(pre), constant(np.ones((1, x.size))))
+    assert np.abs(c.data[0] - exact_logistic(x)).max() <= 2.3e-16
+
+
+def test_softplus_derivative_keeps_relative_precision():
+    # posterior scales far below 1 multiply d softplus / d rho, so its relative error matters
+    rho_v = np.linspace(-40.0, 40.0, 801)
+    exact = exact_logistic(rho_v)
+    mu, rho = parameter(np.zeros_like(rho_v)), parameter(rho_v.copy())
+    with np.errstate(all="raise"):
+        backward(tsum(ad.bayes_draw(mu, rho, np.ones_like(rho_v))))
+        x = parameter(rho_v.copy())
+        backward(tsum(softplus(x)))
+    assert np.array_equal(mu.grad, np.ones_like(rho_v))
+    for grad in (rho.grad, x.grad):
+        assert (np.abs(grad - exact) / exact).max() <= 1e-12
+    # the gate form would not do: it reads 0 for the logistic of -40
+    assert ad._gate_sigmoid(np.array(-40.0)) == 0.0
+
+
 def test_grad_check_concat_slice():
     rng = np.random.default_rng(6)
     x = parameter(rng.uniform(-1, 1, (4,)))

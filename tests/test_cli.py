@@ -222,6 +222,31 @@ def test_exit_codes(tmp_path, workspace):
                  "--checkpoint", str(workspace["ckpt"]), "--count", "1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["predict", "--count", "0"], ["predict", "--count", "-3"],
+                                  ["complete", "--prefix-len", "2", "--repeats", "0"],
+                                  ["complete", "--prefix-len", "2", "--repeats", "-3"]])
+def test_counts_below_one_are_usage_errors_before_any_output(tmp_path, workspace, argv, capsys):
+    out = tmp_path / "out"
+    assert main([argv[0], "--config", str(workspace["cfg"]), "--out", str(out),
+                 "--checkpoint", str(workspace["ckpt"]), *argv[1:]]) == 1
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_file_system_errors_exit_2(tmp_path, workspace, capsys):
+    cfg, ckpt = str(workspace["cfg"]), str(workspace["ckpt"])
+    directory = tmp_path / "dir.spck"
+    directory.mkdir()
+    assert main(["predict", "--config", cfg, "--out", str(tmp_path / "p"),
+                 "--checkpoint", str(directory), "--count", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    taken = tmp_path / "taken"
+    taken.write_text("keep me")
+    assert main(["predict", "--config", cfg, "--out", str(taken), "--checkpoint", ckpt, "--count", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert taken.read_text() == "keep me"
+
+
 def test_th_sweep_flag(tmp_path, workspace):
     cfg, ckpt = workspace["cfg"], workspace["ckpt"]
     for th in ("0.7", "0.35"):

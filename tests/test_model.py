@@ -373,6 +373,21 @@ def test_rollout_prefix_and_determinism():
         model.rollout(feat, np.random.default_rng(0), prefix=Scanpath(tuple(GazePoint(1, 1, i) for i in range(4)), "img", "o"))
 
 
+def test_rollout_frames_equal_teacher_forced_training_frames():
+    # rollout runs under no_grad on bare tensors; fed the same points, the graph-building path
+    # must draw the same kernels and compute the same maps
+    cfg = tiny_cfg(grid=GridSpec(10, 9), layers=2, hidden_channels=3, n_fixations=5, feature_channels=2)
+    model = ScanpathModel.create(cfg, np.random.default_rng(4))
+    feat = model.feature_stack(precomputed=np.random.default_rng(5).standard_normal((2, 9, 10)))
+    path, frames = model.rollout(feat, np.random.default_rng(6))
+    maps = [gaussian_map(p, cfg.grid, cfg.sigma) for p in path.points[:-1]]
+    tspms = model.rollout_training(feat, np.random.default_rng(6), input_maps=maps)
+    assert all(t.requires_grad and t._parents for t in tspms)
+    assert len(frames) == len(tspms) == 5
+    for pm, t in zip(frames, tspms):
+        assert np.abs(pm.values - tensor_to_probmap(t, cfg.grid).values).max() <= 1e-12
+
+
 def test_rollout_frames_are_valid_probmaps():
     cfg = tiny_cfg(n_fixations=4, layers=2)
     model = ScanpathModel.create(cfg, np.random.default_rng(14))

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from scanpath import training
 from scanpath.core import GridSpec
 from scanpath.data_io import preprocess, read_checkpoint, synth_dataset
 from scanpath.errors import NumericalError, ParameterError
@@ -165,6 +166,35 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     for (sa, va), (sb, vb) in zip(full_log[2:], tail_log):
         assert sa == sb
         assert abs(va - vb) < 1e-9
+
+
+def test_crashed_run_keeps_its_log_and_resume_appends_to_it(tmp_path, monkeypatch):
+    prepared, cfg = toy_setup()  # 5 steps, a checkpoint every 2
+    train(prepared, cfg, tmp_path / "full")
+    full_log = (tmp_path / "full" / "loss_log.csv").read_text()
+
+    real_step = training.train_step
+
+    def crash_in_step_4(example, state, cfg, features=None):
+        if state.step == 3:
+            raise RuntimeError("crash in step 4")
+        return real_step(example, state, cfg, features=features)
+
+    run = tmp_path / "run"
+    monkeypatch.setattr(training, "train_step", crash_in_step_4)
+    with pytest.raises(RuntimeError, match="step 4"):
+        train(prepared, cfg, run)
+    monkeypatch.undo()
+    # header and steps 1-3 were flushed before the crash
+    assert (run / "loss_log.csv").read_text() == "".join(full_log.splitlines(keepends=True)[:4])
+
+    # a kill while writing step 12's row would leave a torn "1", which must not pass for step 1
+    with open(run / "loss_log.csv", "a", encoding="utf-8") as fh:
+        fh.write("1")
+    # the checkpoint is at step 2: step 3's row is dropped and rewritten by the resumed run
+    _, tail_log = train(prepared, cfg, run, resume_from=run / "checkpoint_000002.spck")
+    assert [s for s, _ in tail_log] == [3, 4, 5]
+    assert (run / "loss_log.csv").read_text() == full_log
 
 
 @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0])
