@@ -79,6 +79,10 @@ class RunConfig:
     images_dir: str = ""
     features_dir: str = ""
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
+
 
 def load_run_config(path) -> RunConfig:
     known = {f.name: f.type for f in fields(RunConfig)}
@@ -206,23 +210,24 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(rc: RunConfig, checkpoint_path):
-    ckpt = read_checkpoint(checkpoint_path)
-    model, _, step, _ = model_from_checkpoint(ckpt, expected=model_config(rc))
-    return model, step
+def _sampling_setup(args, rc: RunConfig):
+    """The checkpointed model, the dataset, the prepared output directory and each image's feature stack."""
+    model, _, _, _ = model_from_checkpoint(read_checkpoint(args.checkpoint), expected=model_config(rc))
+    dataset = _load_dataset(rc, args.dataset)
+    out = _prepare_out(args, rc, {"config": args.config, "checkpoint": args.checkpoint,
+                                  "dataset": args.dataset or rc.dataset_csv})
+    grid = model.cfg.grid
+    feats = [model.feature_stack(image=None if rec.pixels is None else resample_to_grid(rec.pixels, grid),
+                                 precomputed=load_features(rc, rec.image_id)) for rec in dataset.images]
+    return model, dataset, out, feats
 
 
 def cmd_predict(args) -> int:
     _require_positive("--count", args.count)
     rc = _apply_overrides(load_run_config(args.config), args)
-    model, _ = _load_model(rc, args.checkpoint)
-    dataset = _load_dataset(rc, args.dataset)
-    out = _prepare_out(args, rc, {"config": args.config, "checkpoint": args.checkpoint,
-                                  "dataset": args.dataset or rc.dataset_csv})
+    model, dataset, out, feats = _sampling_setup(args, rc)
     rng = np.random.default_rng(rc.seed)
     grid = model.cfg.grid
-    feats = [model.feature_stack(image=None if rec.pixels is None else resample_to_grid(rec.pixels, grid),
-                                 precomputed=load_features(rc, rec.image_id)) for rec in dataset.images]
     generated = []
     for rec, feat in zip(dataset.images, feats):
         for c in range(args.count):
@@ -245,14 +250,9 @@ def cmd_complete(args) -> int:
     if not (1 <= args.prefix_len <= rc.n_fixations - 1):
         raise ParameterError(
             f"--prefix-len must be in [1, {rc.n_fixations - 1}] for N={rc.n_fixations}, got {args.prefix_len}")
-    model, _ = _load_model(rc, args.checkpoint)
-    dataset = _load_dataset(rc, args.dataset)
-    out = _prepare_out(args, rc, {"config": args.config, "checkpoint": args.checkpoint,
-                                  "dataset": args.dataset or rc.dataset_csv})
+    model, dataset, out, feats = _sampling_setup(args, rc)
     rng = np.random.default_rng(rc.seed)
     grid = model.cfg.grid
-    feats = [model.feature_stack(image=None if rec.pixels is None else resample_to_grid(rec.pixels, grid),
-                                 precomputed=load_features(rc, rec.image_id)) for rec in dataset.images]
     by_image = group_by_image(dataset.scanpaths)
     completions = []
     for rec, feat in zip(dataset.images, feats):

@@ -189,13 +189,14 @@ def map_argmax(m: ProbMap) -> GazePoint:
 
 
 def align(cost: np.ndarray, step, border) -> np.ndarray:
-    """Fill a stack of alignment tables T[P, n + 1, m + 1] over the costs cost[P, n, m].
+    """Fill a stack of alignment tables T[P, n + 1, m + 1] over the costs cost[P, n, m, ...].
 
     border(k) gives row 0 and column 0 at the indices k; then each cell is
-    T[:, i + 1, j + 1] = step(up, left, diag, cost[:, i, j]) of T at (i, j + 1),
-    (i + 1, j) and (i, j). A cell depends only on cells above and to its left.
+    T[:, i + 1, j + 1] = step(up, left, diag, c) of T at (i, j + 1), (i + 1, j)
+    and (i, j), where c is cost[:, i, j] with the stack axis moved last. A cell
+    depends only on cells above and to its left.
     """
-    P, n, m = cost.shape
+    P, n, m = cost.shape[:3]
     T = np.empty((n + 1, m + 1, P))  # cell-major: each cell is one contiguous [P] vector
     T[0], T[:, 0] = border(np.arange(m + 1))[:, None], border(np.arange(n + 1))[:, None]
     for i, row in enumerate(np.moveaxis(cost, 0, -1)):

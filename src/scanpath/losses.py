@@ -143,16 +143,16 @@ def _soft_dtw_dp(D: np.ndarray, gamma: float):
 
 
 def _soft_dtw_alignment(W: np.ndarray) -> np.ndarray:
-    """Expected alignment E[S, N, M] = d R[S] / d D from the weights of _soft_dtw_dp."""
-    S, N, M = W.shape[0], W.shape[1] - 1, W.shape[2] - 1
-    E = np.zeros((S, N + 1, M + 1))
-    E[:, N - 1, M - 1] = 1.0
-    for i in reversed(range(N)):
-        for j in reversed(range(M)):
-            if i < N - 1 or j < M - 1:
-                E[:, i, j] = (E[:, i + 1, j] * W[:, i + 1, j, 0] + E[:, i, j + 1] * W[:, i, j + 1, 1]
-                              + E[:, i + 1, j + 1] * W[:, i + 1, j + 1, 2])
-    return E[:, :N, :M]
+    """Expected alignment E[S, N, M] = d R[S] / d D from the weights of _soft_dtw_dp.
+
+    A cell's E sums its (down, right, diagonal) successors' E, each times the weight its soft-min gives the
+    cell: align's recurrence over the table flipped on both axes, with those weights as each cell's cost.
+    """
+    w = np.stack((W[:, 1:, :-1, 0], W[:, :-1, 1:, 1], W[:, 1:, 1:, 2]), axis=-1)
+    w[:, -1, -1, 2] = 1.0  # the far corner's own diagonal step starts the recurrence from the border's 1
+    E = align(w[:, ::-1, ::-1], lambda up, left, diag, c: up * c[0] + left * c[1] + diag * c[2],
+              lambda k: np.where(k == 0, 1.0, 0.0))
+    return E[:, :0:-1, :0:-1].copy()
 
 
 def soft_dtw(delta, gamma: float):

@@ -70,18 +70,6 @@ HYPER_FIELDS = tuple(f for f in fields(ModelConfig) if f.name != "grid")
 SAMPLING_FIELDS = ("th", "threshold_mode")
 
 
-@dataclass
-class LstmState:
-    """Per-layer hidden and cell tensors."""
-
-    layers: list  # list of (h, c) Tensor pairs
-
-    @classmethod
-    def zeros(cls, cfg: ModelConfig) -> "LstmState":
-        shape = (cfg.hidden_channels, cfg.grid.height, cfg.grid.width)
-        return cls([(ad.constant(np.zeros(shape)), ad.constant(np.zeros(shape))) for _ in range(cfg.layers)])
-
-
 def coord_planes(grid: GridSpec) -> np.ndarray:
     """Two planes: column index and row index, each normalized to [-1, 1]."""
     xs = np.linspace(-1.0, 1.0, grid.width) if grid.width > 1 else np.zeros(1)
@@ -205,17 +193,45 @@ class ScanpathModel:
             sampled.append((bayes_draw(p.mu, p.rho, eps), bayes_draw(p.bias_mu, p.bias_rho, eps_bias)))
         return sampled
 
-    def _run_stack(self, x: Tensor, state: LstmState, sampled) -> Tensor:
+    def _run_stack(self, x: Tensor, state: list, sampled) -> Tensor:
+        """One step up the layers; state holds each layer's (h, c) and is updated in place."""
         for l, (kernel, bias) in enumerate(sampled):
-            h_prev, c_prev = state.layers[l]
+            h_prev, c_prev = state[l]
             x, c = ad.lstm_cell(ad.conv2d(ad.concat0([x, h_prev]), kernel, bias), c_prev)
-            state.layers[l] = (x, c)
+            state[l] = (x, c)
         return x
 
-    def _head(self, h: Tensor) -> Tensor:
-        return tspm_head(h, self.head_kernel, self.head_bias)
-
     # -- rollouts -----------------------------------------------------------
+
+    def _unroll(self, feat: Tensor, rng: np.random.Generator, feed) -> list[Tensor]:
+        """Per-step map tensors over n_fixations steps, from kernels drawn once, zero state and the center prior.
+
+        feed(t, tspm) returns the map fed at step t + 1; it is not called after the last step.
+        """
+        cfg = self.cfg
+        sampled = self._sample_layer_weights(rng)
+        shape = (cfg.hidden_channels, cfg.grid.height, cfg.grid.width)
+        state = [(ad.constant(np.zeros(shape)), ad.constant(np.zeros(shape))) for _ in range(cfg.layers)]
+        current = self.prior.g_c.values
+        frames = []
+        for t in range(cfg.n_fixations):
+            x = ad.concat0([feat, ad.constant(current[None]), self._coord])
+            frames.append(tspm_head(self._run_stack(x, state, sampled), self.head_kernel, self.head_bias))
+            if t < cfg.n_fixations - 1:
+                current = feed(t, frames[-1])
+        return frames
+
+    def _point_feed(self, rng: np.random.Generator, th: float, points: list, prefix=()):
+        """An _unroll feed of prefix[t] while it lasts, then of a point sampled from step t's map; appends to points."""
+        cfg = self.cfg
+
+        def feed(t, tspm):
+            src = prefix[t] if t < len(prefix) else sample_next_point(
+                tensor_to_probmap(tspm, cfg.grid), th, rng, cfg.threshold_mode)
+            points.append(GazePoint(src.x, src.y, t))
+            return gaussian_map(points[-1], cfg.grid, cfg.sigma).values
+
+        return feed
 
     def rollout(self, feat: Tensor, rng: np.random.Generator,
                 prefix: Scanpath | None = None, image_id: str = "",
@@ -236,24 +252,12 @@ class ScanpathModel:
         if not (0 < threshold <= 1):
             raise ParameterError(f"threshold must be in (0, 1], got {threshold}")
 
+        points = []
         with ad.no_grad():
-            sampled = self._sample_layer_weights(rng)
-            state = LstmState.zeros(cfg)
-            current = self.prior.g_c.values
-            points, frames = [], []
-            for t in range(cfg.n_fixations):
-                x = ad.concat0([feat, ad.constant(current[None]), self._coord])
-                top = self._run_stack(x, state, sampled)
-                pm = tensor_to_probmap(self._head(top), cfg.grid)
-                frames.append(pm)
-                if t < n_prefix:
-                    src = prefix.points[t]
-                    pt = GazePoint(src.x, src.y, t)
-                else:
-                    drawn = sample_next_point(pm, threshold, rng, cfg.threshold_mode)
-                    pt = GazePoint(drawn.x, drawn.y, t)
-                points.append(pt)
-                current = gaussian_map(pt, cfg.grid, cfg.sigma).values
+            feed = self._point_feed(rng, threshold, points, prefix.points if prefix is not None else ())
+            frames = [tensor_to_probmap(t, cfg.grid) for t in self._unroll(feat, rng, feed)]
+        last = sample_next_point(frames[-1], threshold, rng, cfg.threshold_mode)
+        points.append(GazePoint(last.x, last.y, cfg.n_fixations - 1))
         return Scanpath(tuple(points), image_id, observer_id), frames
 
     def rollout_training(self, feat: Tensor, rng: np.random.Generator,
@@ -263,35 +267,18 @@ class ScanpathModel:
         input_maps[t] is the fixation map fed at step t+1 (teacher forcing);
         with input_maps=None the model feeds back its own sampled fixations.
         """
-        cfg = self.cfg
-        if input_maps is not None and len(input_maps) < cfg.n_fixations - 1:
+        if input_maps is None:
+            return self._unroll(feat, rng, self._point_feed(rng, self.cfg.th, []))
+        if len(input_maps) < self.cfg.n_fixations - 1:
             raise ParameterError("need n_fixations - 1 teacher-forcing maps")
-        sampled = self._sample_layer_weights(rng)
-        state = LstmState.zeros(cfg)
-        current = self.prior.g_c.values
-        frames = []
-        for t in range(cfg.n_fixations):
-            x = ad.concat0([feat, ad.constant(current[None]), self._coord])
-            top = self._run_stack(x, state, sampled)
-            tspm = self._head(top)
-            frames.append(tspm)
-            if t < cfg.n_fixations - 1:
-                if input_maps is not None:
-                    nxt = input_maps[t]
-                    current = nxt.values if isinstance(nxt, ProbMap) else np.asarray(nxt)
-                else:
-                    pm = tensor_to_probmap(tspm, cfg.grid)
-                    pt = sample_next_point(pm, cfg.th, rng, cfg.threshold_mode)
-                    current = gaussian_map(pt, cfg.grid, cfg.sigma).values
-        return frames
+        maps = [m.values if isinstance(m, ProbMap) else np.asarray(m) for m in input_maps]
+        return self._unroll(feat, rng, lambda t, _: maps[t])
 
     def complete_scanpath(self, feat: Tensor, prefix: Scanpath,
                           rng: np.random.Generator, th: float | None = None) -> Scanpath:
         """Continue a partial scanpath to full length, keeping the prefix verbatim."""
-        if prefix is None or prefix.n < 1:
-            raise ParameterError("complete_scanpath needs a nonempty prefix")
-        if prefix.n > self.cfg.n_fixations - 1:
-            raise ParameterError(f"prefix of length {prefix.n} cannot be completed to N={self.cfg.n_fixations}")
+        if prefix is None:
+            raise ParameterError("complete_scanpath needs a prefix")
         path, _ = self.rollout(feat, rng, prefix=prefix, image_id=prefix.image_id,
                                observer_id=prefix.observer_id, th=th)
         return path
@@ -399,7 +386,7 @@ def config_from_hyper(hyper: dict) -> ModelConfig:
     try:
         grid = GridSpec(int(hyper["grid_width"]), int(hyper["grid_height"]))
         return ModelConfig(grid=grid, **{f.name: parse_value(hyper[f.name], f.type) for f in HYPER_FIELDS})
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ParameterError) as exc:
         raise FormatError(f"checkpoint hyperparameters: {exc!r}") from None
 
 
@@ -412,6 +399,19 @@ def model_from_checkpoint(ckpt, expected: ModelConfig | None = None):
     from .autodiff import AdamState
 
     cfg = config_from_hyper(ckpt.hyper)
+    hyper, rng = ckpt.hyper, None
+    try:
+        step, adam_step = int(hyper.get("step", "0")), int(hyper.get("adam_step", "0"))
+        if min(step, adam_step) < 0:
+            raise ValueError(f"negative step count {min(step, adam_step)}")
+        if "rng_state" in hyper:
+            bg = np.random.PCG64()
+            bg.state = {"bit_generator": "PCG64",
+                        "state": {"state": int(hyper["rng_state"]), "inc": int(hyper["rng_inc"])},
+                        "has_uint32": int(hyper["rng_has_uint32"]), "uinteger": int(hyper["rng_uinteger"])}
+            rng = np.random.Generator(bg)
+    except (KeyError, ValueError, OverflowError) as exc:
+        raise FormatError(f"checkpoint trailer: {exc!r}") from None
     if expected is not None:
         diffs = [
             f"{f.name}: checkpoint {getattr(cfg, f.name)} != config {getattr(expected, f.name)}"
@@ -427,7 +427,7 @@ def model_from_checkpoint(ckpt, expected: ModelConfig | None = None):
     adam = None
     if any(name.startswith("adam.") for name in ckpt.tensors):
         adam = AdamState.init(params)
-        adam.step = int(ckpt.hyper.get("adam_step", "0"))
+        adam.step = adam_step
         targets += [("adam.m.", adam.first_moment), ("adam.v.", adam.second_moment)]
     for prefix, arrays in targets:
         for name, view in _checkpoint_views(model, arrays):
@@ -439,14 +439,4 @@ def model_from_checkpoint(ckpt, expected: ModelConfig | None = None):
                     f"tensor '{name}' has shape {ckpt.tensors[name].shape}, expected {view.shape}")
             view[...] = ckpt.tensors[name]
 
-    rng = None
-    if "rng_state" in ckpt.hyper:
-        bg = np.random.PCG64()
-        bg.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": int(ckpt.hyper["rng_state"]), "inc": int(ckpt.hyper["rng_inc"])},
-            "has_uint32": int(ckpt.hyper["rng_has_uint32"]),
-            "uinteger": int(ckpt.hyper["rng_uinteger"]),
-        }
-        rng = np.random.Generator(bg)
-    return model, adam, int(ckpt.hyper.get("step", "0")), rng
+    return model, adam, step, rng

@@ -39,6 +39,8 @@ class TrainConfig:
             raise ParameterError(f"learning rate must be positive and finite, got {self.lr}")
         if self.max_steps < 0 or self.checkpoint_every < 0:
             raise ParameterError("step counts must be nonnegative")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
         if self.loss.sigma != self.model.sigma:
             raise ParameterError(f"loss sigma {self.loss.sigma} != model sigma {self.model.sigma}")
 

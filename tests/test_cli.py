@@ -1,13 +1,19 @@
+import inspect
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from scanpath.cli import RunConfig, main, metric_config
 from scanpath.core import GazePoint, GridSpec, gaussian_map
-from scanpath.data_io import load_scanpath_dataset, read_pgm, write_feature_tensor, write_pgm
+from scanpath.data_io import (load_scanpath_dataset, preprocess, read_checkpoint, read_pgm, write_checkpoint,
+                              write_feature_tensor, write_pgm)
 from scanpath.errors import ParameterError
-from scanpath.metrics import METRIC_ORDER
+from scanpath.losses import LossConfig
+from scanpath.metrics import METRIC_ORDER, MetricConfig
+from scanpath.model import ModelConfig
+from scanpath.training import TrainConfig
 
 
 def write_cfg(path, **over):
@@ -127,6 +133,22 @@ def test_evaluate_with_baselines(tmp_path, workspace):
     assert len(lines) == 11
 
 
+def test_run_config_defaults_match_the_configs_they_feed():
+    # RunConfig repeats these defaults by hand; MetricConfig's None defaults are written as 0
+    run = {f.name: f.default for f in fields(RunConfig)}
+    checked = set()
+    for cls in (ModelConfig, LossConfig, TrainConfig, MetricConfig):
+        for f in fields(cls):
+            if f.name in run:
+                want = 0 if cls is MetricConfig and f.default is None else f.default
+                assert run[f.name] == want, f"{cls.__name__}.{f.name}"
+                checked.add(f.name)
+    assert run["min_scanpath_len"] == inspect.signature(preprocess).parameters["min_len"].default
+    # the keys no config class holds: the grid (ModelConfig.grid has no default), the filter and the paths
+    assert set(run) - checked == {"grid_width", "grid_height", "min_scanpath_len", "dataset_csv", "images_dir",
+                                  "features_dir"}
+
+
 def test_metric_config_zero_infers_and_rejects_other_nonpositive():
     cfg = metric_config(RunConfig())
     assert (cfg.image_width, cfg.image_height, cfg.recurrence_radius) == (None, None, None)
@@ -200,7 +222,7 @@ def test_saliency_two_fixations_two_equal_peaks(tmp_path):
     assert img[12, 12] == 255
 
 
-def test_exit_codes(tmp_path, workspace):
+def test_exit_codes(tmp_path, workspace, capsys):
     cfg = workspace["cfg"]
     # usage: missing required flag
     assert main(["predict", "--config", str(cfg)]) == 1
@@ -220,6 +242,28 @@ def test_exit_codes(tmp_path, workspace):
                       images_dir=str(workspace["data"]))
     assert main(["predict", "--config", str(other), "--out", str(tmp_path / "o3"),
                  "--checkpoint", str(workspace["ckpt"]), "--count", "1"]) == 2
+    # data: malformed checkpoint trailer
+    ckpt = read_checkpoint(workspace["ckpt"])
+    write_checkpoint(tmp_path / "bad.spck", replace(ckpt, hyper={**ckpt.hyper, "step": "x"}))
+    capsys.readouterr()
+    assert main(["predict", "--config", str(cfg), "--out", str(tmp_path / "o4"),
+                 "--checkpoint", str(tmp_path / "bad.spck"), "--count", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "synth"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_negative_seed_is_a_usage_error_before_any_output(tmp_path, workspace, command, where):
+    cfg = workspace["cfg"]
+    if where == "config":
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text(workspace["cfg"].read_text() + "seed=-1\n")
+    out = tmp_path / "out"
+    extra = {"train": [], "predict": ["--checkpoint", str(workspace["ckpt"]), "--count", "1"],
+             "synth": ["--images", "1", "--observers", "1"]}[command]
+    seed = ["--seed", "-1"] if where == "flag" else []
+    assert main([command, "--config", str(cfg), "--out", str(out), *seed, *extra]) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["predict", "--count", "0"], ["predict", "--count", "-3"],

@@ -10,6 +10,7 @@ from scanpath.errors import ParameterError, ShapeError
 from scanpath.losses import (
     CenterPrior,
     LossConfig,
+    _soft_dtw_alignment,
     _soft_dtw_dp,
     kl_div,
     kl_dtw_loss,
@@ -118,6 +119,19 @@ def per_cell_soft_dtw_dp(D, gamma):
             W[:, i, j] = e / z
             R[:, i + 1, j + 1] = D[:, i, j] + (m - gamma * np.log(z))[..., 0]
     return R[:, N, M], W
+
+
+def per_cell_soft_dtw_alignment(W):
+    """Expected alignment from the far corner back, cell by cell: each cell sums its successors' weighted E."""
+    S, N, M = W.shape[0], W.shape[1] - 1, W.shape[2] - 1
+    E = np.zeros((S, N + 1, M + 1))
+    E[:, N - 1, M - 1] = 1.0
+    for i in reversed(range(N)):
+        for j in reversed(range(M)):
+            if i < N - 1 or j < M - 1:
+                E[:, i, j] = (E[:, i + 1, j] * W[:, i + 1, j, 0] + E[:, i, j + 1] * W[:, i, j + 1, 1]
+                              + E[:, i + 1, j + 1] * W[:, i + 1, j + 1, 2])
+    return E[:, :N, :M]
 
 
 def graph_ids(roots):
@@ -273,6 +287,16 @@ def test_soft_dtw_table_matches_per_cell_oracle():
         want_R, want_W = per_cell_soft_dtw_dp(D, gamma)
         assert np.array_equal(R, want_R)
         assert np.array_equal(W, want_W)
+
+
+def test_soft_dtw_alignment_matches_per_cell_oracle():
+    """The backward table filled by core.align over the flipped weights equals the per-cell loop exactly."""
+    rng = np.random.default_rng(16)
+    shapes = [(1, 1, 1), (4, 1, 1), (3, 1, 7), (5, 6, 1)] + [tuple(rng.integers(1, [16, 10, 10])) for _ in range(300)]
+    for shape in shapes:
+        D = rng.uniform(0, 5, shape) * rng.choice([1e-3, 1.0, 100.0])
+        _, W = _soft_dtw_dp(D, float(rng.choice([1e-3, 0.1, 1.0])))
+        assert np.array_equal(_soft_dtw_alignment(W), per_cell_soft_dtw_alignment(W)), shape
 
 
 def test_soft_dtw_bound_and_monotone_convergence():

@@ -12,7 +12,6 @@ from scanpath.errors import ConfigMismatchError, DataError, FormatError, Paramet
 from scanpath.losses import LossConfig
 from scanpath.model import (
     GATE_ORDER,
-    LstmState,
     ModelConfig,
     ScanpathModel,
     config_from_hyper,
@@ -221,13 +220,13 @@ def unfused_run_stack(model, x, state, sampled):
     """Two convolutions, four slices, five nonlinearities and four elementwise nodes per layer step."""
     hidden = model.cfg.hidden_channels
     for l, (kx, kh, bias) in enumerate(sampled):
-        h_prev, c_prev = state.layers[l]
+        h_prev, c_prev = state[l]
         pre = ad.add(ad.conv2d(x, kx, bias), ad.conv2d(h_prev, kh, None))
         i, f, o = (ad.sigmoid(ad.slice0(pre, j * hidden, (j + 1) * hidden)) for j in range(3))
         g = ad.tanh(ad.slice0(pre, 3 * hidden, 4 * hidden))
         c = ad.add(ad.hadamard(f, c_prev), ad.hadamard(i, g))
         x = ad.hadamard(o, ad.tanh(c))
-        state.layers[l] = (x, c)
+        state[l] = (x, c)
     return x
 
 
@@ -268,11 +267,10 @@ def layer_step_nodes(grid: GridSpec, hidden: int) -> int:
     sampled = model._sample_layer_weights(np.random.default_rng(1))
     rng = np.random.default_rng(2)
     x = ad.parameter(rng.standard_normal((cfg.input_channels, grid.height, grid.width)))
-    state = LstmState([tuple(ad.parameter(rng.standard_normal((hidden, grid.height, grid.width)))
-                             for _ in range(2))])
-    given = {id(t) for t in (x, *state.layers[0], *sampled[0])}
+    state = [tuple(ad.parameter(rng.standard_normal((hidden, grid.height, grid.width))) for _ in range(2))]
+    given = {id(t) for t in (x, *state[0], *sampled[0])}
     h = model._run_stack(x, state, sampled)
-    seen, stack = set(), [h, state.layers[0][1]]
+    seen, stack = set(), [h, state[0][1]]
     while stack:
         t = stack.pop()
         if id(t) not in seen and id(t) not in given:
@@ -540,6 +538,17 @@ def test_checkpoint_trailer_pins_every_model_key():
     for bad in ({**hyper, "layers": "three"}, {k: v for k, v in hyper.items() if k != "sigma"}):
         with pytest.raises(FormatError):
             config_from_hyper(bad)
+
+    ckpt = model_to_checkpoint(ScanpathModel.create(cfg, np.random.default_rng(0)), step=7,
+                               rng_state=np.random.default_rng(1).bit_generator.state)
+    _, _, step, rng = model_from_checkpoint(ckpt)
+    assert step == 7 and rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
+    no_inc = {k: v for k, v in ckpt.hyper.items() if k != "rng_inc"}
+    for bad in [{**ckpt.hyper, key: value} for key, value in (
+            ("step", "x"), ("step", "-1"), ("adam_step", "x"), ("rng_inc", "zz"), ("rng_has_uint32", "q"),
+            ("rng_state", "-1"), ("layers", "0"), ("grid_width", "0"))] + [no_inc]:
+        with pytest.raises(FormatError):
+            model_from_checkpoint(replace(ckpt, hyper=bad))
 
 
 def test_tensor_to_probmap_floors_at_eps():

@@ -204,6 +204,12 @@ def test_train_config_rejects_bad_learning_rate(lr):
         TrainConfig(model=cfg.model, loss=cfg.loss, lr=lr)
 
 
+def test_train_config_rejects_negative_seed():
+    _, cfg = toy_setup()
+    with pytest.raises(ParameterError, match="seed"):
+        TrainConfig(model=cfg.model, loss=cfg.loss, seed=-1)
+
+
 def test_train_config_rejects_sigma_disagreement():
     # the loss's center prior and the model's fixation maps must use one width
     _, cfg = toy_setup()
