@@ -27,6 +27,7 @@ from .data_io import (
     grid_to_native,
     save_scanpath_csv,
     synth_dataset,
+    write_atomic,
     write_feature_tensor,
     write_pgm,
 )
@@ -109,9 +110,7 @@ def load_run_config(path) -> RunConfig:
 
 
 def write_run_config(rc: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in fields(RunConfig):
-            fh.write(f"{f.name}={getattr(rc, f.name)}\n")
+    write_atomic(path, ["".join(f"{f.name}={getattr(rc, f.name)}\n" for f in fields(RunConfig)).encode("utf-8")])
 
 
 def model_config(rc: RunConfig) -> ModelConfig:
@@ -145,7 +144,7 @@ def _prepare_out(args, rc: RunConfig, inputs: dict) -> Path:
     ]
     for key, value in inputs.items():
         lines.append(f"input_{key}={value}")
-    (out / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(out / "manifest.txt", [("\n".join(lines) + "\n").encode("utf-8")])
     return out
 
 

@@ -4,15 +4,18 @@ File formats (all little-endian, float64 payloads, bit-exact round trips):
   scanpath CSV     header `image_id,observer_id,fix_index,x,y`, one fixation
                    per row, rows of one scanpath contiguous with fix_index
                    ascending from 0; coordinates in native image space
-  feature tensor   magic FTNS, u32 rank, rank u32 dims, f64 values
-  checkpoint       magic SPCK, u32 version, u32 count, named tensor records,
-                   then a key=value text trailer for hyperparameters
+  tensor record    u32 rank, rank u32 dims, f64 values in C order
+  feature tensor   magic FTNS, one tensor record (rank >= 1, no zero dim)
+  checkpoint       magic SPCK, u32 version, u32 count, then per tensor a
+                   u32-length UTF-8 name and its tensor record, then a
+                   u32-length key=value text trailer for hyperparameters
   images           binary 8-bit grayscale PGM (P5)
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -44,6 +47,54 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
+# byte path and tensor codec
+
+
+def write_atomic(path, chunks) -> None:
+    """Write the byte chunks to `<name>.tmp` beside path, fsync it and rename it onto path; on any error unlink it."""
+    tmp = Path(path).with_name(Path(path).name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _take(data: bytes, pos: int, n: int, path, what: str) -> tuple[bytes, int]:
+    """data[pos:pos + n] and the offset after it; FormatError when the file ends first."""
+    if pos + n > len(data):
+        raise FormatError(f"{path}: truncated {what}: {n} bytes needed at offset {pos}, {len(data) - pos} left")
+    return data[pos:pos + n], pos + n
+
+
+def _take_u32s(data: bytes, pos: int, count: int, path, what: str) -> tuple[tuple[int, ...], int]:
+    raw, pos = _take(data, pos, 4 * count, path, what)
+    return struct.unpack(f"<{count}I", raw), pos
+
+
+def _encode_tensor(arr) -> bytes:
+    arr = np.asarray(arr, dtype=np.float64)
+    return struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape) + arr.astype("<f8").tobytes()
+
+
+def _decode_tensor(data: bytes, pos: int, path, nonempty: bool = False) -> tuple[np.ndarray, int]:
+    """The tensor record at pos and the offset after it; nonempty refuses rank 0 and zero dims before the body."""
+    (rank,), pos = _take_u32s(data, pos, 1, path, "tensor rank")
+    dims, pos = _take_u32s(data, pos, rank, path, "dimension list")
+    if nonempty and (rank == 0 or 0 in dims):
+        raise FormatError(f"{path}: zero-dimensional header or zero-sized dimension, shape {dims}")
+    body, pos = _take(data, pos, 8 * math.prod(dims), path, "payload")
+    try:  # an empty tensor may still name more dims, or larger ones, than numpy holds
+        return np.frombuffer(body, dtype="<f8").reshape(dims).copy(), pos
+    except ValueError:
+        raise FormatError(f"{path}: tensor has unsupported shape {dims}") from None
+
+
+# ---------------------------------------------------------------------------
 # scanpath CSV
 
 
@@ -67,8 +118,7 @@ def save_scanpath_csv(scanpaths, path) -> None:
                 raise ParameterError(f"id {name!r} has a comma, a line break or surrounding whitespace")
         for p in s.points:
             lines.append(f"{s.image_id},{s.observer_id},{p.index},{p.x!r},{p.y!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def load_scanpath_dataset(path, images_dir=None) -> Dataset:
@@ -78,8 +128,7 @@ def load_scanpath_dataset(path, images_dir=None) -> Dataset:
     images_dir/<image_id>.pgm, which supplies native dimensions and pixels;
     otherwise dimensions are inferred from the largest coordinates seen.
     """
-    with open(path, "rb") as fh:
-        lines = _utf8(fh.read(), path).splitlines()
+    lines = _utf8(Path(path).read_bytes(), path).splitlines()
     if not lines or lines[0].strip() != SCANPATH_CSV_HEADER:
         raise FormatError(f"{path}: missing or wrong header, expected '{SCANPATH_CSV_HEADER}'")
 
@@ -271,14 +320,11 @@ def write_pgm(path, pixels: np.ndarray) -> None:
     if pixels.ndim != 2 or pixels.dtype != np.uint8 or 0 in pixels.shape:
         raise ParameterError("write_pgm expects a nonempty 2-D uint8 array")
     h, w = pixels.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes(order="C"))
+    write_atomic(path, [f"P5\n{w} {h}\n255\n".encode("ascii"), pixels.tobytes(order="C")])
 
 
 def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = Path(path).read_bytes()
     if not data.startswith(b"P5"):
         raise FormatError(f"{path}: not a binary PGM (P5)")
     # header: magic, width, height, maxval as whitespace-separated tokens,
@@ -320,33 +366,17 @@ def write_feature_tensor(path, arr: np.ndarray) -> None:
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim == 0 or 0 in arr.shape:
         raise ParameterError("feature tensors must have rank >= 1 and no empty dimension")
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<I", arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.astype("<f8").tobytes(order="C"))
+    write_atomic(path, [FEATURE_MAGIC, _encode_tensor(arr)])
 
 
 def read_feature_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = Path(path).read_bytes()
     if data[:4] != FEATURE_MAGIC:
         raise FormatError(f"{path}: bad magic, expected FTNS")
-    if len(data) < 8:
-        raise FormatError(f"{path}: truncated header")
-    rank = struct.unpack("<I", data[4:8])[0]
-    if rank == 0:
-        raise FormatError(f"{path}: zero-dimensional header")
-    if len(data) < 8 + 4 * rank:
-        raise FormatError(f"{path}: truncated dimension list")
-    dims = struct.unpack(f"<{rank}I", data[8:8 + 4 * rank])
-    if any(d == 0 for d in dims):
-        raise FormatError(f"{path}: zero-sized dimension")
-    n = math.prod(dims)
-    body = data[8 + 4 * rank:]
-    if len(body) != 8 * n:
-        raise FormatError(f"{path}: payload is {len(body)} bytes, expected {8 * n}")
-    return np.frombuffer(body, dtype="<f8").reshape(dims).copy()
+    arr, pos = _decode_tensor(data, 4, path, nonempty=True)
+    if pos != len(data):
+        raise FormatError(f"{path}: payload is {len(data) - pos} bytes longer than its header declares")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -365,63 +395,31 @@ def write_checkpoint(path, ckpt: Checkpoint) -> None:
     for k, v in ckpt.hyper.items():  # refuse what read_checkpoint could not split back
         if "=" in k or _has_line_break(k) or _has_line_break(v):
             raise ParameterError(f"trailer entry {k!r}={v!r}: a key may not hold '=' and no entry a line break")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(ckpt.tensors)))
-        for name, arr in ckpt.tensors.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<I", arr.ndim))
-            if arr.ndim:
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f8").tobytes(order="C"))
-        trailer = "".join(f"{k}={v}\n" for k, v in ckpt.hyper.items()).encode("utf-8")
-        fh.write(struct.pack("<I", len(trailer)))
-        fh.write(trailer)
+    chunks = [CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(ckpt.tensors))]
+    for name, arr in ckpt.tensors.items():
+        nb = name.encode("utf-8")
+        chunks += [struct.pack("<I", len(nb)) + nb, _encode_tensor(arr)]
+    trailer = "".join(f"{k}={v}\n" for k, v in ckpt.hyper.items()).encode("utf-8")
+    write_atomic(path, chunks + [struct.pack("<I", len(trailer)), trailer])
 
 
 def read_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        data = fh.read()
-
-    def take(n, pos):
-        if pos + n > len(data):
-            raise FormatError(f"{path}: truncated checkpoint")
-        return data[pos:pos + n], pos + n
-
-    head, pos = take(4, 0)
-    if head != CHECKPOINT_MAGIC:
+    data = Path(path).read_bytes()
+    if data[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad magic, expected SPCK")
-    raw, pos = take(4, pos)
-    version = struct.unpack("<I", raw)[0]
+    (version, count), pos = _take_u32s(data, 4, 2, path, "header")
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    raw, pos = take(4, pos)
-    count = struct.unpack("<I", raw)[0]
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        raw, pos = take(4, pos)
-        name_len = struct.unpack("<I", raw)[0]
-        raw, pos = take(name_len, pos)
+        (name_len,), pos = _take_u32s(data, pos, 1, path, "tensor name length")
+        raw, pos = _take(data, pos, name_len, path, "tensor name")
         name = _utf8(raw, path)
-        raw, pos = take(4, pos)
-        rank = struct.unpack("<I", raw)[0]
-        dims = ()
-        if rank:
-            raw, pos = take(4 * rank, pos)
-            dims = struct.unpack(f"<{rank}I", raw)
-        n = math.prod(dims)
-        raw, pos = take(8 * n, pos)
-        try:  # an empty tensor may still name more dims, or larger ones, than numpy holds
-            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
-        except ValueError:
-            raise FormatError(f"{path}: tensor '{name}' has unsupported shape {dims}") from None
-    raw, pos = take(4, pos)
-    trailer_len = struct.unpack("<I", raw)[0]
-    raw, pos = take(trailer_len, pos)
+        if name in tensors:
+            raise FormatError(f"{path}: tensor '{name}' appears twice")
+        tensors[name], pos = _decode_tensor(data, pos, path)
+    (trailer_len,), pos = _take_u32s(data, pos, 1, path, "trailer length")
+    raw, pos = _take(data, pos, trailer_len, path, "trailer")
     hyper: dict[str, str] = {}
     for line in _utf8(raw, path).splitlines():
         if not line:
@@ -429,6 +427,8 @@ def read_checkpoint(path) -> Checkpoint:
         if "=" not in line:
             raise FormatError(f"{path}: malformed trailer line '{line}'")
         k, v = line.split("=", 1)
+        if k in hyper:
+            raise FormatError(f"{path}: trailer key '{k}' appears twice")
         hyper[k] = v
     if pos != len(data):
         raise FormatError(f"{path}: {len(data) - pos} trailing bytes")

@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import GazePoint, GridSpec, Scanpath, align, group_by_image, inf_border
+from .data_io import write_atomic
 from .errors import DataError, ParameterError
 
 METRIC_ORDER = ("LEV", "SCAM", "HAU", "FRE", "fDTW", "TDE", "REC", "DET", "LAM", "CORM")
@@ -89,8 +90,7 @@ def write_report_csv(report: MetricReport, path) -> None:
     lines = ["metric,mean,std,direction"]
     for name, mean, std, direc in report.rows():
         lines.append(f"{name},{mean:.6f},{std:.6f},{direc}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def _coords(s: Scanpath) -> np.ndarray:

@@ -221,13 +221,13 @@ class ScanpathModel:
                 current = feed(t, frames[-1])
         return frames
 
-    def _point_feed(self, rng: np.random.Generator, th: float, points: list, prefix=()):
-        """An _unroll feed of prefix[t] while it lasts, then of a point sampled from step t's map; appends to points."""
+    def _point_feed(self, rng: np.random.Generator, th: float, points: list, maps: list, prefix=()):
+        """An _unroll feed: prefix[t] while it lasts, then a point sampled from step t's map; fills points and maps."""
         cfg = self.cfg
 
         def feed(t, tspm):
-            src = prefix[t] if t < len(prefix) else sample_next_point(
-                tensor_to_probmap(tspm, cfg.grid), th, rng, cfg.threshold_mode)
+            maps.append(tensor_to_probmap(tspm, cfg.grid))
+            src = prefix[t] if t < len(prefix) else sample_next_point(maps[-1], th, rng, cfg.threshold_mode)
             points.append(GazePoint(src.x, src.y, t))
             return gaussian_map(points[-1], cfg.grid, cfg.sigma).values
 
@@ -252,10 +252,10 @@ class ScanpathModel:
         if not (0 < threshold <= 1):
             raise ParameterError(f"threshold must be in (0, 1], got {threshold}")
 
-        points = []
+        points, frames = [], []
         with ad.no_grad():
-            feed = self._point_feed(rng, threshold, points, prefix.points if prefix is not None else ())
-            frames = [tensor_to_probmap(t, cfg.grid) for t in self._unroll(feat, rng, feed)]
+            feed = self._point_feed(rng, threshold, points, frames, prefix.points if prefix is not None else ())
+            frames.append(tensor_to_probmap(self._unroll(feat, rng, feed)[-1], cfg.grid))
         last = sample_next_point(frames[-1], threshold, rng, cfg.threshold_mode)
         points.append(GazePoint(last.x, last.y, cfg.n_fixations - 1))
         return Scanpath(tuple(points), image_id, observer_id), frames
@@ -268,7 +268,7 @@ class ScanpathModel:
         with input_maps=None the model feeds back its own sampled fixations.
         """
         if input_maps is None:
-            return self._unroll(feat, rng, self._point_feed(rng, self.cfg.th, []))
+            return self._unroll(feat, rng, self._point_feed(rng, self.cfg.th, [], []))
         if len(input_maps) < self.cfg.n_fixations - 1:
             raise ParameterError("need n_fixations - 1 teacher-forcing maps")
         maps = [m.values if isinstance(m, ProbMap) else np.asarray(m) for m in input_maps]

@@ -10,7 +10,6 @@ The loss log and checkpoints are byte-reproducible functions of
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState
-from .data_io import Checkpoint, PreparedExample, read_checkpoint, write_checkpoint
+from .data_io import Checkpoint, PreparedExample, read_checkpoint, write_atomic, write_checkpoint
 from .errors import DataError, NumericalError, ParameterError
 from .losses import LossConfig, kl_dtw_loss
 from .model import ModelConfig, ScanpathModel, model_from_checkpoint, model_to_checkpoint
@@ -145,9 +144,7 @@ def train(prepared: list[PreparedExample], cfg: TrainConfig, out_dir,
 
     log_path = out / "loss_log.csv"
     kept = _log_rows_through(log_path, state.step) if resume_from is not None else []
-    tmp = log_path.with_name(log_path.name + ".tmp")
-    tmp.write_text("step,loss\n" + "".join(kept), encoding="utf-8")
-    os.replace(tmp, log_path)
+    write_atomic(log_path, [("step,loss\n" + "".join(kept)).encode("utf-8")])
 
     n = len(prepared)
     log: list[tuple[int, float]] = []

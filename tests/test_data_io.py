@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -405,3 +406,65 @@ def test_scanpath_csv_fuzz_round_trip(tmp_path, paths):
     back = load_scanpath_dataset(tmp_path / "s.csv").scanpaths
     assert [(s.image_id, s.observer_id, s.coords().tobytes()) for s in back] == \
         [(s.image_id, s.observer_id, s.coords().tobytes()) for s in written]
+
+
+# ---------------------------------------------------------------------------
+# on-disk layouts, pinned byte by byte
+
+
+def tensor_record(arr):
+    """Expected bytes of one tensor record: u32 rank, u32 dims, little-endian float64 values in C order."""
+    arr = np.asarray(arr, dtype=np.float64)
+    return (struct.pack("<I", arr.ndim) + b"".join(struct.pack("<I", d) for d in arr.shape)
+            + b"".join(struct.pack("<d", v) for v in arr.reshape(-1)))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 1, 3)])
+def test_feature_tensor_golden_bytes(tmp_path, shape):
+    arr = np.arange(math.prod(shape), dtype=np.float64).reshape(shape) * -0.75 + 0.1
+    expected = b"FTNS" + tensor_record(arr)
+    assert expected[4:8] == struct.pack("<I", len(shape))
+    f = tmp_path / "t.ftns"
+    write_feature_tensor(f, arr)
+    assert f.read_bytes() == expected
+    assert read_feature_tensor(f).tobytes() == arr.tobytes()
+
+
+def test_checkpoint_golden_bytes(tmp_path):
+    tensors = {"c0": np.asarray(1.5), "b": np.array([0.25, -2.0]), "a.mu": np.array([[1.0, 2.0, 3.0]]),
+               "σ.μ": np.arange(4.0).reshape(2, 1, 2)}
+    hyper = {"layers": "2", "step": "12", "note": "ünïcode"}
+    expected = b"SPCK" + struct.pack("<I", 1) + struct.pack("<I", len(tensors))
+    for name, arr in tensors.items():
+        raw = name.encode("utf-8")
+        expected += struct.pack("<I", len(raw)) + raw + tensor_record(arr)
+    trailer = "layers=2\nstep=12\nnote=ünïcode\n".encode("utf-8")
+    expected += struct.pack("<I", len(trailer)) + trailer
+    assert len("σ.μ".encode("utf-8")) == 5  # the name length counts bytes, not characters
+    f = tmp_path / "m.spck"
+    write_checkpoint(f, Checkpoint(tensors, hyper))
+    assert f.read_bytes() == expected
+    back = read_checkpoint(f)
+    assert list(back.tensors) == list(tensors) and back.hyper == hyper
+    for name, arr in tensors.items():
+        assert back.tensors[name].shape == arr.shape and back.tensors[name].tobytes() == arr.tobytes()
+
+
+def spck_bytes(names, trailer: bytes):
+    """A checkpoint holding one [2.] tensor under each of names, then the given trailer."""
+    out = b"SPCK" + struct.pack("<II", 1, len(names))
+    for name in names:
+        out += struct.pack("<I", len(name)) + name + struct.pack("<IId", 1, 1, 2.0)
+    return out + struct.pack("<I", len(trailer)) + trailer
+
+
+def test_checkpoint_rejects_duplicate_names(tmp_path):
+    f = tmp_path / "dup.spck"
+    f.write_bytes(spck_bytes([b"w", b"v"], b"step=1\n"))
+    assert read_checkpoint(f).hyper == {"step": "1"}  # the crafted layout itself is valid
+    f.write_bytes(spck_bytes([b"w", b"w"], b"step=1\n"))
+    with pytest.raises(FormatError, match="'w'"):
+        read_checkpoint(f)
+    f.write_bytes(spck_bytes([b"w"], b"step=1\nstep=2\n"))
+    with pytest.raises(FormatError, match="'step'"):
+        read_checkpoint(f)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scanpath import autodiff as ad
+from scanpath import model as model_module
 from scanpath.autodiff import BayesConvParams, sample_bayes_kernel
 from scanpath.cli import RunConfig, load_features
 from scanpath.core import EPS, GazePoint, GridSpec, ProbMap, Scanpath, gaussian_map, map_argmax
@@ -555,3 +556,19 @@ def test_tensor_to_probmap_floors_at_eps():
     t = ad.constant(np.array([[0.5, 0.5], [0.0, 0.0]]))
     pm = tensor_to_probmap(t, GridSpec(2, 2))
     assert pm.values.min() >= EPS
+
+
+@pytest.mark.parametrize("n_prefix", [0, 2])
+def test_rollout_converts_each_map_once(monkeypatch, n_prefix):
+    cfg = tiny_cfg(n_fixations=4)
+    model = ScanpathModel.create(cfg, np.random.default_rng(15))
+    feat = zero_features(model)
+    prefix = Scanpath(tuple(GazePoint(1, 2, i) for i in range(n_prefix)), "img", "o") if n_prefix else None
+    expected, expected_frames = model.rollout(feat, np.random.default_rng(3), prefix=prefix)
+    converted = []
+    monkeypatch.setattr(model_module, "tensor_to_probmap",
+                        lambda t, grid: converted.append(t) or tensor_to_probmap(t, grid))
+    path, frames = model.rollout(feat, np.random.default_rng(3), prefix=prefix)
+    assert len(converted) == len(frames) == cfg.n_fixations
+    assert np.array_equal(path.coords(), expected.coords())
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(frames, expected_frames))
