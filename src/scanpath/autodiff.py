@@ -11,7 +11,6 @@ precision; graphs are built per forward pass and freed with it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -257,18 +256,19 @@ def lstm_cell(pre: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
 # convolution
 
 
-def _shifted(offset: int, n: int) -> tuple[slice, slice]:
-    """Output and input ranges of one axis of length n read at `offset` from each output index."""
-    lo = min(n, max(0, -offset))
-    hi = max(lo, min(n, n - offset))
-    return slice(lo, hi), slice(lo + offset, hi + offset)
+def _patches(xd: np.ndarray, k: int) -> np.ndarray:
+    """[C*k*k, H*W] im2col matrix of a same-padded k x k window over xd [C, H, W], rows ordered (channel, di, dj).
 
-
-@lru_cache(maxsize=64)
-def _windows(h: int, w: int, k: int) -> tuple:
-    """(di, dj, (rows, src_rows), (cols, src_cols)) for each tap of a same-padded k x k window over h x w."""
+    One C-order copy of a strided view of the zero-bordered input; a plain
+    reshape returns a view where the strides merge (W = 1), which the GEMM
+    rounds differently."""
+    c, h, w = xd.shape
     pad = k // 2
-    return tuple((di, dj, _shifted(di - pad, h), _shifted(dj - pad, w)) for di in range(k) for dj in range(k))
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
+    xp[:, pad:pad + h, pad:pad + w] = xd
+    s0, s1, s2 = xp.strides
+    view = np.lib.stride_tricks.as_strided(xp, (c, k, k, h, w), (s0, s1, s2, s1, s2), writeable=False)
+    return np.ascontiguousarray(view).reshape(c * k * k, h * w)
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -276,6 +276,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
 
     x: [C_in, H, W]; kernel: [C_out, C_in, k, k] with k odd; bias: [C_out] or
     None. Spatial size is preserved with zero padding.
+
+    The node keeps no im2col matrix: the VJP rebuilds it from x.data and reads
+    kernel.data when backward() runs, so neither may be changed in place
+    between this call and backward().
     """
     xd, kd = x.data, kernel.data
     if xd.ndim != 3 or kd.ndim != 4:
@@ -289,25 +293,22 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({c_out},)")
     _, h, w = xd.shape
 
-    # patches[:, di, dj, r, c] = x[:, r + di - pad, c + dj - pad], zero outside x;
-    # rows ordered (channel, di, dj) to match kernel.reshape(c_out, -1)
-    windows = _windows(h, w, kh)
-    patches = np.zeros((c_in, kh, kw, h, w))
-    for di, dj, (rows, src_rows), (cols, src_cols) in windows:
-        patches[:, di, dj, rows, cols] = xd[:, src_rows, src_cols]
-    patches = patches.reshape(c_in * kh * kw, h * w)
     k2 = kd.reshape(c_out, -1)
-    out = (k2 @ patches).reshape(c_out, h, w)
+    out = (k2 @ _patches(xd, kh)).reshape(c_out, h, w)
     if bias is not None:
         out = out + bias.data[:, None, None]
 
     def vjp(g):
         gm = g.reshape(c_out, -1)
-        grad_k = (gm @ patches.T).reshape(kd.shape)
+        grad_k = (gm @ _patches(x.data, kh).T).reshape(kd.shape)
         cols_g = (k2.T @ gm).reshape(c_in, kh, kw, h, w)
-        grad_x = np.zeros_like(xd)
-        for di, dj, (rows, src_rows), (cols, src_cols) in windows:
-            grad_x[:, src_rows, src_cols] += cols_g[:, di, dj, rows, cols]
+        # col2im: tap (di, dj) of output pixel (r, c) reads bordered pixel (r + di, c + dj)
+        pad = kh // 2
+        gp = np.zeros((c_in, h + 2 * pad, w + 2 * pad))
+        for di in range(kh):
+            for dj in range(kw):
+                gp[:, di:di + h, dj:dj + w] += cols_g[:, di, dj]
+        grad_x = gp[:, pad:pad + h, pad:pad + w]
         if bias is None:
             return (grad_x, grad_k)
         return (grad_x, grad_k, g.sum(axis=(1, 2)))

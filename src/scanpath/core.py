@@ -84,15 +84,6 @@ def group_by_image(scanpaths) -> dict[str, list[Scanpath]]:
     return out
 
 
-def nearest_pixel(v: float, limit: int) -> int:
-    """Round a continuous coordinate to the nearest pixel index in [0, limit).
-
-    Exact halves resolve to the smaller index so the result always agrees with
-    map_argmax's tie-break on the two equal-valued neighbours.
-    """
-    return int(min(max(math.ceil(v - 0.5), 0), limit - 1))
-
-
 def smooth_and_normalize(raw: np.ndarray) -> np.ndarray:
     """Turn nonnegative per-pixel mass into a valid probability map.
 

