@@ -16,17 +16,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import GazePoint, GridSpec, Scanpath, gaussian_map, group_by_image, parse_value
+from .core import GridSpec, gaussian_map, group_by_image, parse_value
 from .data_io import (
     load_scanpath_dataset,
     preprocess,
     read_checkpoint,
     read_feature_tensor,
     resample_to_grid,
-    rescale_point,
-    grid_to_native,
     save_scanpath_csv,
     synth_dataset,
+    to_grid,
+    to_native,
     write_atomic,
     write_feature_tensor,
     write_pgm,
@@ -87,7 +87,7 @@ class RunConfig:
 
 def load_run_config(path) -> RunConfig:
     known = {f.name: f.type for f in fields(RunConfig)}
-    values = {}
+    values, where = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -102,6 +102,9 @@ def load_run_config(path) -> RunConfig:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise DataError(f"{path}:{lineno}: unknown config key '{key}'")
+        if key in where:
+            raise DataError(f"{path}:{lineno}: config key '{key}' already set on line {where[key]}")
+        where[key] = lineno
         try:
             values[key] = parse_value(raw, known[key])
         except ValueError as exc:
@@ -181,14 +184,6 @@ def load_features(rc: RunConfig, image_id: str) -> np.ndarray | None:
     return read_feature_tensor(path)
 
 
-def _native_path(s: Scanpath, grid: GridSpec, rec) -> Scanpath:
-    pts = []
-    for p in s.points:
-        nx, ny = grid_to_native(p.x, p.y, grid, rec.width, rec.height)
-        pts.append(GazePoint(nx, ny, p.index))
-    return Scanpath(tuple(pts), s.image_id, s.observer_id)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -200,11 +195,11 @@ def cmd_train(args) -> int:
     mcfg = model_config(rc)
     prepared = preprocess(dataset, mcfg.grid, n_fix=rc.n_fixations, sigma=rc.sigma,
                           min_len=rc.min_scanpath_len)
-    features = {ex.image_id: load_features(rc, ex.image_id) for ex in prepared}
+    prepared = [replace(ex, features=load_features(rc, ex.image_id)) for ex in prepared]
     cfg = TrainConfig(model=mcfg, loss=loss_config(rc), lr=rc.lr, max_steps=rc.max_steps,
                       checkpoint_every=rc.checkpoint_every, seed=rc.seed,
                       teacher_forcing=rc.teacher_forcing)
-    final, log = train(prepared, cfg, out, features=features, resume_from=args.resume)
+    final, log = train(prepared, cfg, out, resume_from=args.resume)
     print(f"trained {len(log)} steps; final checkpoint: {final}")
     return 0
 
@@ -226,13 +221,12 @@ def cmd_predict(args) -> int:
     rc = _apply_overrides(load_run_config(args.config), args)
     model, dataset, out, feats = _sampling_setup(args, rc)
     rng = np.random.default_rng(rc.seed)
-    grid = model.cfg.grid
     generated = []
     for rec, feat in zip(dataset.images, feats):
         for c in range(args.count):
             path, frames = model.rollout(feat, rng, image_id=rec.image_id,
                                          observer_id=f"model{c:03d}", th=rc.th)
-            generated.append(_native_path(path, grid, rec))
+            generated.append(to_native(path, rec.width, rec.height, model.cfg.grid))
             if args.dump_tspm:
                 stack = np.stack([f.values for f in frames])
                 tdir = out / "tspm"
@@ -258,15 +252,11 @@ def cmd_complete(args) -> int:
         for s in by_image[rec.image_id]:
             if s.n < args.prefix_len:
                 continue
-            prefix_pts = []
-            for i, p in enumerate(s.points[: args.prefix_len]):
-                gx, gy = rescale_point(p.x, p.y, rec.width, rec.height, grid.width, grid.height)
-                prefix_pts.append(GazePoint(gx, gy, i))
-            prefix = Scanpath(tuple(prefix_pts), s.image_id, s.observer_id)
+            prefix = to_grid(replace(s, points=s.points[: args.prefix_len]), rec.width, rec.height, grid)
             for r in range(args.repeats):
                 done = model.complete_scanpath(feat, prefix, rng, th=rc.th)
-                done = Scanpath(done.points, done.image_id, f"{s.observer_id}_c{r:02d}")
-                completions.append(_native_path(done, grid, rec))
+                done = replace(done, observer_id=f"{s.observer_id}_c{r:02d}")
+                completions.append(to_native(done, rec.width, rec.height, grid))
     save_scanpath_csv(completions, out / "completions.csv")
     print(f"wrote {len(completions)} completions to {out / 'completions.csv'}")
     return 0
@@ -298,9 +288,8 @@ def aggregate_heatmap(paths, grid: GridSpec, sigma: float, native_w, native_h) -
     """Sum of per-fixation Gaussians over all scanpaths, on the model grid."""
     heat = np.zeros((grid.height, grid.width))
     for s in paths:
-        for p in s.points:
-            gx, gy = rescale_point(p.x, p.y, native_w, native_h, grid.width, grid.height)
-            heat += gaussian_map(GazePoint(gx, gy), grid, sigma).values
+        for p in to_grid(s, native_w, native_h, grid).points:
+            heat += gaussian_map(p, grid, sigma).values
     return heat
 
 
@@ -319,6 +308,8 @@ def cmd_saliency(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    for flag, count in (("--images", args.images), ("--observers", args.observers), ("--rois", args.rois)):
+        _require_positive(flag, count)
     rc = _apply_overrides(load_run_config(args.config), args)
     out = _prepare_out(args, rc, {"config": args.config})
     grid = GridSpec(rc.grid_width, rc.grid_height)

@@ -200,19 +200,23 @@ class PreparedExample:
     scanpaths: tuple[Scanpath, ...]
     spatialized: tuple[SpatializedScanpath, ...]
     image: np.ndarray | None  # grid-resolution grayscale in [0, 1]
+    features: np.ndarray | None = None  # precomputed feature tensor, for feature_source=precomputed
 
 
-def rescale_point(x, y, src_w, src_h, dst_w, dst_h):
-    gx = min(max(x * dst_w / src_w, 0.0), dst_w - 1e-9)
-    gy = min(max(y * dst_h / src_h, 0.0), dst_h - 1e-9)
-    return gx, gy
+def to_grid(s: Scanpath, width, height, grid: GridSpec) -> Scanpath:
+    """s rescaled from a width x height native image into the grid, its points renumbered from 0."""
+    pts = (GazePoint(min(max(p.x * grid.width / width, 0.0), grid.width - 1e-9),
+                     min(max(p.y * grid.height / height, 0.0), grid.height - 1e-9), i)
+           for i, p in enumerate(s.points))
+    return Scanpath(tuple(pts), s.image_id, s.observer_id)
 
 
-def grid_to_native(x, y, grid: GridSpec, native_w, native_h):
-    """Map a grid coordinate back to a representative native-space position."""
-    nx = (x + 0.5) * native_w / grid.width - 0.5
-    ny = (y + 0.5) * native_h / grid.height - 0.5
-    return min(max(nx, 0.0), native_w - 1.0), min(max(ny, 0.0), native_h - 1.0)
+def to_native(s: Scanpath, width, height, grid: GridSpec) -> Scanpath:
+    """Grid points mapped back to representative positions in a width x height native image, indices kept."""
+    pts = (GazePoint(min(max((p.x + 0.5) * width / grid.width - 0.5, 0.0), width - 1.0),
+                     min(max((p.y + 0.5) * height / grid.height - 0.5, 0.0), height - 1.0), p.index)
+           for p in s.points)
+    return Scanpath(tuple(pts), s.image_id, s.observer_id)
 
 
 def resample_to_grid(pixels: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -237,15 +241,8 @@ def preprocess(dataset: Dataset, grid: GridSpec, n_fix: int = 8, sigma: float = 
         for s in by_image.get(rec.image_id, []):
             if s.n < min_len:
                 continue
-            pts = list(s.points[:n_fix])
-            while len(pts) < n_fix:
-                last = pts[-1]
-                pts.append(GazePoint(last.x, last.y, len(pts)))
-            gpts = []
-            for i, p in enumerate(pts):
-                gx, gy = rescale_point(p.x, p.y, rec.width, rec.height, grid.width, grid.height)
-                gpts.append(GazePoint(gx, gy, i))
-            kept.append(Scanpath(tuple(gpts), rec.image_id, s.observer_id))
+            padded = Scanpath((s.points + s.points[-1:] * n_fix)[:n_fix], rec.image_id, s.observer_id)
+            kept.append(to_grid(padded, rec.width, rec.height, grid))
         if not kept:
             warnings.warn(f"image '{rec.image_id}' has no scanpath of length >= {min_len}; excluded")
             continue

@@ -114,22 +114,6 @@ def _dtw_step(up, left, diag, d):
     return d + np.minimum(np.minimum(up, left), diag)
 
 
-def levenshtein(a, b) -> int:
-    """Classic edit distance between two symbol sequences."""
-    mismatch = np.array([x != y for x in a for y in b], dtype=np.float64).reshape(1, len(a), len(b))
-    return int(align(mismatch, _edit_step, lambda k: k)[0, -1, -1])
-
-
-def hard_dtw(delta: np.ndarray) -> float:
-    """Dynamic time warping total cost over an explicit cost matrix."""
-    delta = np.asarray(delta, dtype=np.float64)
-    if delta.ndim != 2 or delta.size == 0:
-        raise ParameterError("hard_dtw needs a nonempty 2-D cost matrix")
-    if not np.isfinite(delta).all():
-        raise ParameterError("hard_dtw needs finite costs")
-    return float(align(delta[None], _dtw_step, inf_border)[0, -1, -1])
-
-
 def _bins(xy: np.ndarray, cfg: MetricConfig) -> np.ndarray:
     """Bin r * bin_cols + c of every point; points at or past the far edge fall in the last bin."""
     grid = np.array([cfg.bin_cols, cfg.bin_rows])

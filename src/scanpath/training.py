@@ -59,12 +59,11 @@ def init_state(cfg: TrainConfig) -> TrainState:
     return TrainState(model=model, adam=AdamState.init(params), rng=rng)
 
 
-def train_step(example: PreparedExample, state: TrainState, cfg: TrainConfig,
-               features=None) -> float:
+def train_step(example: PreparedExample, state: TrainState, cfg: TrainConfig) -> float:
     """One optimizer update on one image; returns the scalar loss.
 
-    features maps image ids to precomputed feature tensors; the trainable
-    stack reads the example's pixels instead.
+    The model reads the example's precomputed features, or with the
+    trainable stack the example's pixels.
     """
     if not example.scanpaths:
         raise DataError(f"image '{example.image_id}' has no scanpaths")
@@ -73,7 +72,7 @@ def train_step(example: PreparedExample, state: TrainState, cfg: TrainConfig,
 
     anchor_idx = int(state.rng.integers(len(example.scanpaths)))
     anchor_maps = example.spatialized[anchor_idx].maps[: n_fix - 1]
-    feat = model.feature_stack(image=example.image, precomputed=(features or {}).get(example.image_id))
+    feat = model.feature_stack(image=example.image, precomputed=example.features)
     frames = model.rollout_training(
         feat, state.rng, input_maps=anchor_maps if cfg.teacher_forcing else None
     )
@@ -113,8 +112,7 @@ def _log_rows_through(path: Path, step: int) -> list[str]:
     return rows
 
 
-def train(prepared: list[PreparedExample], cfg: TrainConfig, out_dir,
-          features=None, resume_from=None):
+def train(prepared: list[PreparedExample], cfg: TrainConfig, out_dir, resume_from=None):
     """Run the loop; writes loss_log.csv and checkpoints, returns (path, log).
 
     resume_from restores parameters, optimizer moments, the step counter and
@@ -138,7 +136,7 @@ def train(prepared: list[PreparedExample], cfg: TrainConfig, out_dir,
         state = init_state(cfg)
     with ad.no_grad():  # a missing or misshapen feature input fails before any checkpoint is written
         for ex in prepared:
-            state.model.feature_stack(image=ex.image, precomputed=(features or {}).get(ex.image_id))
+            state.model.feature_stack(image=ex.image, precomputed=ex.features)
     if resume_from is None:
         write_checkpoint(out / "checkpoint_000000.spck", _checkpoint(state))
 
@@ -155,7 +153,7 @@ def train(prepared: list[PreparedExample], cfg: TrainConfig, out_dir,
             if epoch != order_epoch:
                 order, order_epoch = _epoch_order(cfg.seed, epoch, n), epoch
             example = prepared[int(order[offset])]
-            value = train_step(example, state, cfg, features=features)
+            value = train_step(example, state, cfg)
             log.append((state.step, value))
             fh.write(f"{state.step},{value!r}\n")
             fh.flush()

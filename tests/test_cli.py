@@ -1,15 +1,18 @@
+import ast
 import inspect
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scanpath.cli import RunConfig, main, metric_config
+from scanpath import cli
+from scanpath.cli import RunConfig, load_run_config, main, metric_config
 from scanpath.core import GazePoint, GridSpec, gaussian_map
 from scanpath.data_io import (load_scanpath_dataset, preprocess, read_checkpoint, read_pgm, write_checkpoint,
                               write_feature_tensor, write_pgm)
-from scanpath.errors import ParameterError
+from scanpath.errors import DataError, ParameterError
 from scanpath.losses import LossConfig
 from scanpath.metrics import METRIC_ORDER, MetricConfig
 from scanpath.model import ModelConfig
@@ -257,7 +260,7 @@ def test_negative_seed_is_a_usage_error_before_any_output(tmp_path, workspace, c
     cfg = workspace["cfg"]
     if where == "config":
         cfg = tmp_path / "neg.cfg"
-        cfg.write_text(workspace["cfg"].read_text() + "seed=-1\n")
+        cfg.write_text(workspace["cfg"].read_text().replace("\nseed=1\n", "\nseed=-1\n"))
     out = tmp_path / "out"
     extra = {"train": [], "predict": ["--checkpoint", str(workspace["ckpt"]), "--count", "1"],
              "synth": ["--images", "1", "--observers", "1"]}[command]
@@ -275,6 +278,42 @@ def test_counts_below_one_are_usage_errors_before_any_output(tmp_path, workspace
                  "--checkpoint", str(workspace["ckpt"]), *argv[1:]]) == 1
     assert "must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--images", "--observers", "--rois"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_synth_counts_below_one_are_usage_errors_before_any_output(tmp_path, flag, value, capsys):
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(write_cfg(tmp_path / "s.cfg")), "--out", str(out), flag, value]) == 1
+    assert f"{flag} must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_config_key_is_a_data_error_naming_both_lines(tmp_path, capsys):
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text("seed=1\nlr=0.1\n# seed=3\nseed=2\nlr=0.2\n")
+    with pytest.raises(DataError, match="dup.cfg:4: config key 'seed' already set on line 1"):
+        load_run_config(cfg)
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(cfg), "--out", str(out), "--images", "1", "--observers", "1"]) == 2
+    assert "dup.cfg:4: config key 'seed' already set on line 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_never_refers_to_gaze_point():
+    """The CLI writes only points that came from the model or from data_io's native<->grid mapping."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    assert "GazePoint" not in names
 
 
 def test_file_system_errors_exit_2(tmp_path, workspace, capsys):

@@ -19,6 +19,8 @@ from scanpath.data_io import (
     read_pgm,
     save_scanpath_csv,
     synth_dataset,
+    to_grid,
+    to_native,
     write_checkpoint,
     write_feature_tensor,
     write_pgm,
@@ -148,6 +150,51 @@ def test_preprocess_excludes_empty_images():
     with pytest.warns(UserWarning):
         prepared = preprocess(ds, grid, n_fix=8, sigma=2.0)
     assert prepared == []
+
+
+def oracle_rescale_point(x, y, src_w, src_h, dst_w, dst_h):
+    """Native to grid, one point at a time."""
+    gx = min(max(x * dst_w / src_w, 0.0), dst_w - 1e-9)
+    gy = min(max(y * dst_h / src_h, 0.0), dst_h - 1e-9)
+    return gx, gy
+
+
+def oracle_grid_to_native(x, y, grid, native_w, native_h):
+    """Grid to native, one point at a time."""
+    nx = (x + 0.5) * native_w / grid.width - 0.5
+    ny = (y + 0.5) * native_h / grid.height - 0.5
+    return min(max(nx, 0.0), native_w - 1.0), min(max(ny, 0.0), native_h - 1.0)
+
+
+def test_native_grid_mapping_equals_per_point_oracles():
+    rng = np.random.default_rng(21)
+    seen = set()
+    for _ in range(300):
+        grid = GridSpec(int(rng.integers(2, 40)), int(rng.integers(2, 40)))
+        w, h = (int(v) for v in rng.integers(1, 120, 2))
+        seen |= {int(np.sign(w - grid.width)), int(np.sign(h - grid.height))}
+        n = int(rng.integers(1, 8))
+        # inside, on and past the edges of the native image and of the grid
+        nx = [float(v) for v in rng.uniform(-0.3 * w, 1.3 * w, n)] + [0.0, w - 1.0, float(w), w + 2.5, -1.5]
+        ny = [float(v) for v in rng.uniform(-0.3 * h, 1.3 * h, n)] + [0.0, h - 1.0, float(h), -0.5, h + 0.25]
+        gx = [float(v) for v in rng.uniform(-1, grid.width + 1, n)] + [0.0, grid.width - 1e-9, float(grid.width),
+                                                                       -1.0, grid.width + 3.0]
+        gy = [float(v) for v in rng.uniform(-1, grid.height + 1, n)] + [0.0, grid.height - 1e-9, float(grid.height),
+                                                                        grid.height + 0.5, -2.0]
+        native = Scanpath(tuple(GazePoint(x, y, 3 + 2 * i) for i, (x, y) in enumerate(zip(nx, ny))), "img", "o")
+        on_grid = Scanpath(tuple(GazePoint(x, y, 5 + i) for i, (x, y) in enumerate(zip(gx, gy))), "img", "o")
+
+        mapped = to_grid(native, w, h, grid)
+        assert [(p.x, p.y) for p in mapped.points] == [oracle_rescale_point(x, y, w, h, grid.width, grid.height)
+                                                       for x, y in zip(nx, ny)]
+        assert [p.index for p in mapped.points] == list(range(len(nx)))
+        back = to_native(on_grid, w, h, grid)
+        assert [(p.x, p.y) for p in back.points] == [oracle_grid_to_native(x, y, grid, w, h) for x, y in zip(gx, gy)]
+        assert [p.index for p in back.points] == [p.index for p in on_grid.points]
+        for s in (mapped, back):
+            assert (s.image_id, s.observer_id) == ("img", "o")
+            assert all(type(v) is float for p in s.points for v in (p.x, p.y))
+    assert {-1, 1} <= seen  # native images both smaller and larger than the grid
 
 
 def test_synth_single_roi_zero_noise():

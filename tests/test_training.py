@@ -175,10 +175,10 @@ def test_crashed_run_keeps_its_log_and_resume_appends_to_it(tmp_path, monkeypatc
 
     real_step = training.train_step
 
-    def crash_in_step_4(example, state, cfg, features=None):
+    def crash_in_step_4(example, state, cfg):
         if state.step == 3:
             raise RuntimeError("crash in step 4")
-        return real_step(example, state, cfg, features=features)
+        return real_step(example, state, cfg)
 
     run = tmp_path / "run"
     monkeypatch.setattr(training, "train_step", crash_in_step_4)
