@@ -274,10 +274,17 @@ def cmd_evaluate(args) -> int:
     write_report_csv(report, out / "report.csv")
     if args.baselines:
         write_report_csv(human_baseline(truth, cfg), out / "human_baseline.csv")
+        by_image = group_by_image(predicted)
+        # the virtual observers' spread: the human baseline's pairwise report over the predicted paths
+        spread = [s for paths in by_image.values() if len(paths) >= 2 for s in paths]
+        if spread:
+            write_report_csv(human_baseline(spread, cfg), out / "model_spread.csv")
+        else:
+            print("model_spread.csv not written: no image has two or more predicted scanpaths", file=sys.stderr)
         rng = np.random.default_rng(rc.seed)
         grid = GridSpec(int(np.ceil(cfg.image_width)), int(np.ceil(cfg.image_height)))
         rand = []
-        for image_id, paths in group_by_image(predicted).items():
+        for image_id, paths in by_image.items():
             rand.extend(random_baseline(grid, rc.n_fixations, len(paths), rng, image_id=image_id))
         write_report_csv(evaluate_set(rand, truth, cfg), out / "random_baseline.csv")
     print(f"wrote {out / 'report.csv'}")

@@ -111,14 +111,6 @@ class ProbMap:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def validate(self) -> None:
-        if not np.isfinite(self.values).all():
-            raise ParameterError("probability map contains non-finite entries")
-        if self.values.min() < EPS:
-            raise ParameterError("probability map entries must be >= EPS")
-        if abs(float(self.values.sum()) - 1.0) > 1e-6:
-            raise ParameterError(f"probability map sums to {self.values.sum()}, not 1")
-
 
 @dataclass(frozen=True, eq=False)
 class SpatializedScanpath:

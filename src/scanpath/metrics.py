@@ -148,21 +148,22 @@ def _run_marks(R: np.ndarray, di: int, dj: int, min_line: int) -> np.ndarray:
 
 
 def _scores(a: np.ndarray, partners: list[np.ndarray], cfg: MetricConfig) -> tuple:
-    """The ten metrics of a against each of its P partners, as [P] arrays in METRIC_ORDER.
+    """The ten metrics of each of Q pairs (a[q], partners[q]), as [Q] arrays in METRIC_ORDER.
 
-    The partners are zero-padded to the longest one and their distances set to
-    inf there. A table that core.align fills over all pairs is read at each
-    pair's own corner (n, m_p), which the padded columns to its right never reach.
+    a stacks Q first paths of one length n as [Q, n, 2]. The partners are
+    zero-padded to the longest one and their distances set to inf there. A
+    table that core.align fills over all pairs is read at each pair's own
+    corner (n, m_q), which the padded columns to its right never reach.
     TDE is nan where undefined.
     """
-    n, m = len(a), np.array([len(b) for b in partners])
+    n, m = a.shape[1], np.array([len(b) for b in partners])
     valid = np.arange(m.max()) < m[:, None]
     b = np.zeros(valid.shape + (2,))
     b[valid] = np.concatenate(partners)
     d = np.where(valid[:, None, :], _distances(a, b), np.inf)
     ends = (np.arange(len(partners)), n, m)
 
-    bins_a, bins_b = _bins(a, cfg)[:, None], _bins(b, cfg)[:, None, :]
+    bins_a, bins_b = _bins(a, cfg)[:, :, None], _bins(b, cfg)[:, None, :]
     lev = align((bins_a != bins_b).astype(np.float64), _edit_step, lambda k: k)[ends]
     sub = _scam_scores(cfg.bin_cols, cfg.bin_rows, cfg.image_width, cfg.image_height)[bins_a, bins_b]
     nw = align(sub, lambda up, left, diag, s: np.maximum(np.maximum(diag + s, up), left), np.zeros_like)
@@ -192,7 +193,7 @@ def _scores(a: np.ndarray, partners: list[np.ndarray], cfg: MetricConfig) -> tup
 
 def all_metrics(a: Scanpath, b: Scanpath, cfg: MetricConfig) -> dict:
     """The ten metrics of one pair, by name; TDE is None where undefined."""
-    scores = _scores(_coords(a), [_coords(b)], cfg.resolved([a], [b]))
+    scores = _scores(_coords(a)[None], [_coords(b)], cfg.resolved([a], [b]))
     return {k: None if np.isnan(v[0]) else float(v[0]) for k, v in zip(METRIC_ORDER, scores)}
 
 
@@ -235,13 +236,20 @@ def recurrence_metrics(a: Scanpath, b: Scanpath, cfg: MetricConfig):
     return m["REC"], m["DET"], m["LAM"], m["CORM"]
 
 
-def _report(groups, cfg: MetricConfig) -> MetricReport:
-    """Mean and standard deviation of every metric over the pairs of all (a, partners) groups.
+def _report(pairs, cfg: MetricConfig) -> MetricReport:
+    """Mean and standard deviation of every metric over the (image_id, a, b) pairs, in their order.
 
+    The pairs of one image whose first paths share a length are scored in one
+    _scores call, and each pair's scores go back to its place in the order.
     Undefined values are left out.
     """
-    columns = zip(*(_scores(a, partners, cfg) for a, partners in groups))
-    vals = {metric: v[~np.isnan(v)] for metric, v in zip(METRIC_ORDER, map(np.concatenate, columns))}
+    groups = {}
+    for q, (image_id, a, _) in enumerate(pairs):
+        groups.setdefault((image_id, len(a)), []).append(q)
+    scores = np.empty((len(METRIC_ORDER), len(pairs)))
+    for qs in groups.values():
+        scores[:, qs] = _scores(np.stack([pairs[q][1] for q in qs]), [pairs[q][2] for q in qs], cfg)
+    vals = {metric: v[~np.isnan(v)] for metric, v in zip(METRIC_ORDER, scores)}
     nan = float("nan")
     return MetricReport(means={m: float(v.mean()) if len(v) else nan for m, v in vals.items()},
                         stds={m: float(v.std()) if len(v) else nan for m, v in vals.items()},
@@ -254,12 +262,13 @@ def evaluate_set(predicted, ground_truth, cfg: MetricConfig) -> MetricReport:
     if not predicted or not ground_truth:
         raise ParameterError("evaluate_set needs nonempty scanpath lists")
     truth = {image_id: [_coords(g) for g in paths] for image_id, paths in group_by_image(ground_truth).items()}
-    groups = []
+    pairs = []
     for p in predicted:
         if p.image_id not in truth:
             raise DataError(f"no ground truth for image '{p.image_id}'")
-        groups.append((_coords(p), truth[p.image_id]))
-    return _report(groups, cfg.resolved(predicted, ground_truth))
+        a = _coords(p)
+        pairs += [(p.image_id, a, b) for b in truth[p.image_id]]
+    return _report(pairs, cfg.resolved(predicted, ground_truth))
 
 
 def human_baseline(ground_truth, cfg: MetricConfig) -> MetricReport:
@@ -267,16 +276,16 @@ def human_baseline(ground_truth, cfg: MetricConfig) -> MetricReport:
     ground_truth = list(ground_truth)
     if not ground_truth:
         raise ParameterError("human_baseline needs scanpaths")
-    groups = []
+    pairs = []
     for image_id, paths in group_by_image(ground_truth).items():
         xy = [_coords(s) for s in paths]
         if len(paths) < 2:
             warnings.warn(f"image '{image_id}' has a single scanpath; excluded from human baseline")
             continue
-        groups += [(a, xy[:i] + xy[i + 1:]) for i, a in enumerate(xy)]
-    if not groups:
+        pairs += [(image_id, a, b) for i, a in enumerate(xy) for b in xy[:i] + xy[i + 1:]]
+    if not pairs:
         raise DataError("no image has two or more scanpaths")
-    return _report(groups, cfg.resolved(ground_truth))
+    return _report(pairs, cfg.resolved(ground_truth))
 
 
 def random_baseline(grid: GridSpec, n_points: int, count: int, rng: np.random.Generator,

@@ -10,11 +10,11 @@ import pytest
 from scanpath import cli
 from scanpath.cli import RunConfig, load_run_config, main, metric_config
 from scanpath.core import GazePoint, GridSpec, gaussian_map
-from scanpath.data_io import (load_scanpath_dataset, preprocess, read_checkpoint, read_pgm, write_checkpoint,
-                              write_feature_tensor, write_pgm)
+from scanpath.data_io import (load_scanpath_dataset, preprocess, read_checkpoint, read_pgm, save_scanpath_csv,
+                              write_checkpoint, write_feature_tensor, write_pgm)
 from scanpath.errors import DataError, ParameterError
 from scanpath.losses import LossConfig
-from scanpath.metrics import METRIC_ORDER, MetricConfig
+from scanpath.metrics import METRIC_ORDER, MetricConfig, human_baseline, write_report_csv
 from scanpath.model import ModelConfig
 from scanpath.training import TrainConfig
 
@@ -134,6 +134,42 @@ def test_evaluate_with_baselines(tmp_path, workspace):
     assert (out / "random_baseline.csv").exists()
     lines = (out / "random_baseline.csv").read_text().splitlines()
     assert len(lines) == 11
+
+
+def test_evaluate_baselines_write_model_spread_over_images_with_two_predicted_paths(tmp_path, workspace, capsys):
+    data, cfg = workspace["data"], workspace["cfg"]
+    truth = load_scanpath_dataset(data / "dataset.csv").scanpaths
+    # one image keeps all its paths, the other keeps one: only the first takes part in the spread
+    lone = truth[-1].image_id
+    predicted = [s for s in truth if s.image_id != lone] + [next(s for s in truth if s.image_id == lone)]
+    csv = tmp_path / "pred.csv"
+    save_scanpath_csv(predicted, csv)
+    out = tmp_path / "ev"
+    assert main(["evaluate", "--config", str(cfg), "--out", str(out),
+                 "--predicted", str(csv), "--truth", str(data / "dataset.csv"), "--baselines"]) == 0
+    assert "model_spread" not in capsys.readouterr().err
+    predicted = load_scanpath_dataset(csv).scanpaths
+    mcfg = metric_config(load_run_config(cfg)).resolved(predicted, truth)
+    want = tmp_path / "want.csv"
+    write_report_csv(human_baseline([s for s in predicted if s.image_id != lone], mcfg), want)
+    assert (out / "model_spread.csv").read_bytes() == want.read_bytes()
+
+
+def test_evaluate_baselines_without_two_predicted_paths_on_an_image_write_no_model_spread(
+        tmp_path, workspace, capsys):
+    data, cfg = workspace["data"], workspace["cfg"]
+    singles = {}
+    for s in load_scanpath_dataset(data / "dataset.csv").scanpaths:
+        singles.setdefault(s.image_id, s)
+    csv = tmp_path / "single.csv"
+    save_scanpath_csv(list(singles.values()), csv)
+    out = tmp_path / "ev"
+    assert main(["evaluate", "--config", str(cfg), "--out", str(out),
+                 "--predicted", str(csv), "--truth", str(data / "dataset.csv"), "--baselines"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "model_spread.csv not written" in err[0]
+    assert not (out / "model_spread.csv").exists()
+    assert (out / "human_baseline.csv").exists() and (out / "random_baseline.csv").exists()
 
 
 def test_run_config_defaults_match_the_configs_they_feed():

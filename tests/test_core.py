@@ -19,6 +19,16 @@ from scanpath.metrics import MetricConfig
 from scanpath.model import ModelConfig
 
 
+def validate_probmap(m: ProbMap) -> None:
+    """Raise ParameterError unless every entry is finite and >= EPS and the entries sum to 1."""
+    if not np.isfinite(m.values).all():
+        raise ParameterError("probability map contains non-finite entries")
+    if m.values.min() < EPS:
+        raise ParameterError("probability map entries must be >= EPS")
+    if abs(float(m.values.sum()) - 1.0) > 1e-6:
+        raise ParameterError(f"probability map sums to {m.values.sum()}, not 1")
+
+
 def direct_gaussian(px, py, grid, sigma):
     """Independent scalar-loop evaluation of the discretized Gaussian."""
     total = 0.0
@@ -59,7 +69,7 @@ def test_gaussian_validity_everywhere():
     for _ in range(20):
         p = GazePoint(rng.uniform(0, grid.width - 1e-9), rng.uniform(0, grid.height - 1e-9))
         m = gaussian_map(p, grid, sigma=rng.uniform(0.3, 4.0))
-        m.validate()
+        validate_probmap(m)
         assert m.values.min() >= EPS
 
 

@@ -1,15 +1,22 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from scanpath.core import GazePoint, GridSpec, Scanpath
+from scanpath import metrics
+from scanpath.core import GazePoint, GridSpec, Scanpath, align, group_by_image, inf_border
 from scanpath.errors import DataError, ParameterError
 from scanpath.losses import soft_dtw
 from scanpath.metrics import (
     METRIC_ORDER,
     MetricConfig,
+    _bins,
+    _distances,
+    _dtw_step,
+    _edit_step,
     _run_marks,
+    _scam_scores,
     all_metrics,
     curve_metrics,
     direction,
@@ -175,6 +182,120 @@ def test_reports_score_each_pair_against_its_own_partners():
                 assert report.n_pairs[metric] == len(vals), metric
                 if len(vals):
                     assert (report.means[metric], report.stds[metric]) == (vals.mean(), vals.std()), metric
+
+
+# ---------------------------------------------------------------------------
+# reports against one scoring call per first path, the scheme reports used before they grouped pairs
+
+
+def per_path_scores(a, partners, cfg):
+    """The ten metrics of one first path a [n, 2] against each of its partners, as [P] arrays."""
+    n, m = len(a), np.array([len(b) for b in partners])
+    valid = np.arange(m.max()) < m[:, None]
+    b = np.zeros(valid.shape + (2,))
+    b[valid] = np.concatenate(partners)
+    d = np.where(valid[:, None, :], _distances(a, b), np.inf)
+    ends = (np.arange(len(partners)), n, m)
+
+    bins_a, bins_b = _bins(a, cfg)[:, None], _bins(b, cfg)[:, None, :]
+    lev = align((bins_a != bins_b).astype(np.float64), _edit_step, lambda k: k)[ends]
+    sub = _scam_scores(cfg.bin_cols, cfg.bin_rows, cfg.image_width, cfg.image_height)[bins_a, bins_b]
+    nw = align(sub, lambda up, left, diag, s: np.maximum(np.maximum(diag + s, up), left), np.zeros_like)
+
+    hau = np.maximum(d.min(axis=2).max(axis=1), np.where(valid, d.min(axis=1), -np.inf).max(axis=1))
+    fre = align(d, lambda up, left, diag, c: np.maximum(np.minimum(np.minimum(up, left), diag), c), inf_border)
+
+    k, tde = cfg.tde_k, np.full(len(partners), np.nan)
+    if n >= k and b.shape[1] >= k:
+        wa, wb = (np.concatenate([xy[..., t:xy.shape[-2] - k + 1 + t, :] for t in range(k)], axis=-1)
+                  for xy in (a, b))
+        own = np.arange(wb.shape[1]) <= (m - k)[:, None]
+        tde_d = np.where(own[:, None, :], _distances(wa, wb), np.inf)
+        tde = np.where(m >= k, tde_d.min(axis=2).mean(axis=1), np.nan)
+
+    R = d <= cfg.recurrence_radius
+    C = R.sum(axis=(1, 2))
+    shown = np.maximum(C, 1)
+    det = _run_marks(R, 1, 1, cfg.min_line).sum(axis=(1, 2))
+    lam = (_run_marks(R, 0, 1, cfg.min_line) | _run_marks(R, 1, 0, cfg.min_line)).sum(axis=(1, 2))
+    corm = 100.0 * ((np.arange(R.shape[2]) - np.arange(n)[:, None]) * R).sum(axis=(1, 2))
+    corm = np.where(m == 1, 0.0, corm / (np.maximum(m - 1, 1) * shown))
+    return (lev, nw[ends] / np.maximum(n, m), hau, fre[ends], align(d, _dtw_step, inf_border)[ends], tde,
+            100.0 * C / (n * m), 100.0 * det / shown, 100.0 * lam / shown, corm)
+
+
+def per_group_report(groups, cfg):
+    """(means, stds, n_pairs) over the pairs of all (a, partners) groups, one per_path_scores call per group."""
+    columns = zip(*(per_path_scores(a, partners, cfg) for a, partners in groups))
+    vals = {metric: v[~np.isnan(v)] for metric, v in zip(METRIC_ORDER, map(np.concatenate, columns))}
+    nan = float("nan")
+    return ({m: float(v.mean()) if len(v) else nan for m, v in vals.items()},
+            {m: float(v.std()) if len(v) else nan for m, v in vals.items()},
+            {m: len(v) for m, v in vals.items()})
+
+
+def random_report_inputs(rng, lattice):
+    """1-3 images of 2-5 truth and 1-5 predicted paths, lengths drawn from a few values so that
+    several first paths of one image share a length, the predicted paths shuffled across images."""
+    truth, predicted = [], []
+    for img in range(int(rng.integers(1, 4))):
+        lengths = rng.integers(1, 13, 3)
+        truth += [random_path(rng, int(rng.choice(lengths)), lattice, f"i{img}", f"t{o}")
+                  for o in range(int(rng.integers(2, 6)))]
+        predicted += [random_path(rng, int(rng.choice(lengths)), lattice, f"i{img}", f"p{o}")
+                      for o in range(int(rng.integers(1, 6)))]
+    return truth, [predicted[i] for i in rng.permutation(len(predicted))]
+
+
+def test_reports_equal_one_scoring_call_per_first_path():
+    rng = np.random.default_rng(18)
+    undefined_tde = 0
+    for t in range(300):
+        truth, predicted = random_report_inputs(rng, t % 3 == 0)
+        cfg = random_metric_config(rng)
+        if t % 4 == 0:
+            cfg = replace(cfg, tde_k=int(rng.integers(4, 14)))
+        truth_xy = {image_id: [g.coords() for g in paths] for image_id, paths in group_by_image(truth).items()}
+        eval_groups = [(p.coords(), truth_xy[p.image_id]) for p in predicted]
+        human_groups = [(xy[i], xy[:i] + xy[i + 1:]) for xy in truth_xy.values() for i in range(len(xy))]
+        for report, groups, rcfg in (
+                (evaluate_set(predicted, truth, cfg), eval_groups, cfg.resolved(predicted, truth)),
+                (human_baseline(truth, cfg), human_groups, cfg.resolved(truth))):
+            means, stds, n_pairs = per_group_report(groups, rcfg)
+            assert report.n_pairs == n_pairs
+            for metric in METRIC_ORDER:
+                for got, want in ((report.means[metric], means[metric]), (report.stds[metric], stds[metric])):
+                    assert got == want or (math.isnan(got) and math.isnan(want)), metric
+            undefined_tde += n_pairs["TDE"] < n_pairs["LEV"]
+    assert undefined_tde > 100
+
+
+def test_reports_score_each_image_and_first_path_length_in_one_call(monkeypatch):
+    calls = []
+
+    def recording(a, partners, cfg):
+        calls.append(len(a))
+        return scores(a, partners, cfg)
+
+    scores = metrics._scores
+    monkeypatch.setattr(metrics, "_scores", recording)
+    rng = np.random.default_rng(19)
+    lengths = {"i0": (3, 5, 3, 7, 5), "i1": (4, 4, 2), "i2": (6, 1, 6, 6)}
+    truth = [random_path(rng, n, False, image_id, f"t{o}")
+             for image_id, ns in lengths.items() for o, n in enumerate(ns)]
+    predicted = [random_path(rng, n, False, image_id, f"p{o}")
+                 for o, (image_id, n) in enumerate([("i2", 2), ("i0", 4), ("i2", 2), ("i1", 3), ("i0", 4),
+                                                    ("i0", 9), ("i2", 5)])]
+    by_image = group_by_image(truth)
+    for run_report, firsts, pair_counts in (
+            (lambda: human_baseline(truth, CFG), truth, {i: len(p) * (len(p) - 1) for i, p in by_image.items()}),
+            (lambda: evaluate_set(predicted, truth, CFG), predicted,
+             {i: len(by_image[i]) * sum(p.image_id == i for p in predicted) for i in by_image})):
+        calls.clear()
+        run_report()
+        assert len(calls) == len({(s.image_id, s.n) for s in firsts})
+        assert len(calls) < len(firsts)
+        assert max(calls) <= max(pair_counts.values())
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -30.0])

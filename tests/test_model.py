@@ -26,6 +26,7 @@ from scanpath.model import (
 )
 from scanpath.training import TrainConfig, init_state, train_step
 from test_autodiff import naive_conv2d
+from test_core import validate_probmap
 
 # chi-square critical value at p = 0.01 for 63 degrees of freedom
 CHI2_CRIT_63_P01 = 92.010
@@ -393,7 +394,7 @@ def test_rollout_frames_are_valid_probmaps():
     feat = zero_features(model)
     _, frames = model.rollout(feat, np.random.default_rng(1))
     for pm in frames:
-        pm.validate()
+        validate_probmap(pm)
         assert abs(pm.values.sum() - 1.0) < 1e-9
 
 
