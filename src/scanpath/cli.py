@@ -21,7 +21,6 @@ from .data_io import (
     load_scanpath_dataset,
     preprocess,
     read_checkpoint,
-    read_feature_tensor,
     resample_to_grid,
     save_scanpath_csv,
     synth_dataset,
@@ -164,24 +163,16 @@ def _require_positive(flag: str, value: int) -> None:
         raise ParameterError(f"{flag} must be at least 1, got {value}")
 
 
-def _load_dataset(rc: RunConfig, override_csv=None):
+def _load_dataset(rc: RunConfig, override_csv=None, model_inputs=True):
+    """The dataset; model_inputs adds each image's feature file under feature_source=precomputed."""
     csv = override_csv or rc.dataset_csv
     if not csv:
         raise DataError("no dataset: set dataset_csv in the config or pass --dataset")
-    images_dir = rc.images_dir or None
-    return load_scanpath_dataset(csv, images_dir=images_dir)
-
-
-def load_features(rc: RunConfig, image_id: str) -> np.ndarray | None:
-    """<features_dir>/<image_id>.ftns under feature_source=precomputed; None for the trainable stack."""
-    if rc.feature_source != "precomputed":
-        return None
-    if not rc.features_dir:
+    precomputed = model_inputs and rc.feature_source == "precomputed"
+    if precomputed and not rc.features_dir:
         raise DataError("feature_source=precomputed needs features_dir")
-    path = Path(rc.features_dir) / f"{image_id}.ftns"
-    if not path.is_file():
-        raise DataError(f"missing feature file {path}")
-    return read_feature_tensor(path)
+    return load_scanpath_dataset(csv, images_dir=rc.images_dir or None,
+                                 features_dir=rc.features_dir if precomputed else None)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +186,6 @@ def cmd_train(args) -> int:
     mcfg = model_config(rc)
     prepared = preprocess(dataset, mcfg.grid, n_fix=rc.n_fixations, sigma=rc.sigma,
                           min_len=rc.min_scanpath_len)
-    prepared = [replace(ex, features=load_features(rc, ex.image_id)) for ex in prepared]
     cfg = TrainConfig(model=mcfg, loss=loss_config(rc), lr=rc.lr, max_steps=rc.max_steps,
                       checkpoint_every=rc.checkpoint_every, seed=rc.seed,
                       teacher_forcing=rc.teacher_forcing)
@@ -205,14 +195,14 @@ def cmd_train(args) -> int:
 
 
 def _sampling_setup(args, rc: RunConfig):
-    """The checkpointed model, the dataset, the prepared output directory and each image's feature stack."""
+    """Model, dataset, output directory and feature stacks; the stacks are built first, so bad input writes nothing."""
     model, _, _, _ = model_from_checkpoint(read_checkpoint(args.checkpoint), expected=model_config(rc))
     dataset = _load_dataset(rc, args.dataset)
-    out = _prepare_out(args, rc, {"config": args.config, "checkpoint": args.checkpoint,
-                                  "dataset": args.dataset or rc.dataset_csv})
     grid = model.cfg.grid
     feats = [model.feature_stack(image=None if rec.pixels is None else resample_to_grid(rec.pixels, grid),
-                                 precomputed=load_features(rc, rec.image_id)) for rec in dataset.images]
+                                 precomputed=rec.features) for rec in dataset.images]
+    out = _prepare_out(args, rc, {"config": args.config, "checkpoint": args.checkpoint,
+                                  "dataset": args.dataset or rc.dataset_csv})
     return model, dataset, out, feats
 
 
@@ -225,7 +215,7 @@ def cmd_predict(args) -> int:
     for rec, feat in zip(dataset.images, feats):
         for c in range(args.count):
             path, frames = model.rollout(feat, rng, image_id=rec.image_id,
-                                         observer_id=f"model{c:03d}", th=rc.th)
+                                         observer_id=f"model{c:03d}")
             generated.append(to_native(path, rec.width, rec.height, model.cfg.grid))
             if args.dump_tspm:
                 stack = np.stack([f.values for f in frames])
@@ -252,11 +242,12 @@ def cmd_complete(args) -> int:
         for s in by_image[rec.image_id]:
             if s.n < args.prefix_len:
                 continue
-            prefix = to_grid(replace(s, points=s.points[: args.prefix_len]), rec.width, rec.height, grid)
-            for r in range(args.repeats):
-                done = model.complete_scanpath(feat, prefix, rng, th=rc.th)
-                done = replace(done, observer_id=f"{s.observer_id}_c{r:02d}")
-                completions.append(to_native(done, rec.width, rec.height, grid))
+            given = s.points[: args.prefix_len]
+            prefix = to_grid(replace(s, points=given), rec.width, rec.height, grid)
+            for r in range(args.repeats):  # the given points verbatim, then the generated ones mapped back
+                done = to_native(model.complete_scanpath(feat, prefix, rng), rec.width, rec.height, grid)
+                completions.append(replace(done, points=given + done.points[len(given):],
+                                           observer_id=f"{s.observer_id}_c{r:02d}"))
     save_scanpath_csv(completions, out / "completions.csv")
     print(f"wrote {len(completions)} completions to {out / 'completions.csv'}")
     return 0
@@ -302,7 +293,7 @@ def aggregate_heatmap(paths, grid: GridSpec, sigma: float, native_w, native_h) -
 
 def cmd_saliency(args) -> int:
     rc = _apply_overrides(load_run_config(args.config), args)
-    dataset = _load_dataset(rc, args.scanpaths)
+    dataset = _load_dataset(rc, args.scanpaths, model_inputs=False)
     out = _prepare_out(args, rc, {"config": args.config, "scanpaths": args.scanpaths or rc.dataset_csv})
     grid = GridSpec(rc.grid_width, rc.grid_height)
     by_image = group_by_image(dataset.scanpaths)

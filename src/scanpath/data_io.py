@@ -38,6 +38,7 @@ class ImageRecord:
     width: int
     height: int
     pixels: np.ndarray | None = None  # uint8 [height, width] when available
+    features: np.ndarray | None = None  # the image's precomputed feature tensor, when features_dir is given
 
 
 @dataclass
@@ -127,12 +128,12 @@ def save_scanpath_csv(scanpaths, path) -> None:
     write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
-def load_scanpath_dataset(path, images_dir=None) -> Dataset:
+def load_scanpath_dataset(path, images_dir=None, features_dir=None) -> Dataset:
     """Parse the scanpath CSV, grouping contiguous fix_index runs into scanpaths.
 
-    When images_dir is given, every image_id must resolve to
-    images_dir/<image_id>.pgm, which supplies native dimensions and pixels;
-    otherwise dimensions are inferred from the largest coordinates seen.
+    When images_dir is given, every image_id must resolve to images_dir/<image_id>.pgm,
+    which supplies native dimensions and pixels; otherwise dimensions are inferred from the
+    largest coordinates seen. features_dir/<image_id>.ftns, when given, supplies its features.
     """
     lines = _utf8(Path(path).read_bytes(), path).splitlines()
     if not lines or lines[0].strip() != SCANPATH_CSV_HEADER:
@@ -176,15 +177,22 @@ def load_scanpath_dataset(path, images_dir=None) -> Dataset:
 
     images = []
     for image_id, paths in group_by_image(scanpaths).items():
+        pixels = features = None
         if images_dir is not None:
             pgm = Path(images_dir) / f"{image_id}.pgm"
             if not pgm.exists():
                 raise DataError(f"unknown image_id '{image_id}': no {pgm}")
             pixels = read_pgm(pgm)
-            images.append(ImageRecord(image_id, pixels.shape[1], pixels.shape[0], pixels))
+            height, width = pixels.shape
         else:
             mx, my = np.concatenate([s.coords() for s in paths]).max(axis=0)
-            images.append(ImageRecord(image_id, math.floor(mx) + 1, math.floor(my) + 1, None))
+            width, height = math.floor(mx) + 1, math.floor(my) + 1
+        if features_dir is not None:
+            ftns = Path(features_dir) / f"{image_id}.ftns"
+            if not ftns.is_file():
+                raise DataError(f"missing feature file {ftns}")
+            features = read_feature_tensor(ftns)
+        images.append(ImageRecord(image_id, width, height, pixels, features))
     return Dataset(images=images, scanpaths=scanpaths)
 
 
@@ -248,7 +256,7 @@ def preprocess(dataset: Dataset, grid: GridSpec, n_fix: int = 8, sigma: float = 
             continue
         spat = tuple(spatialize(s, grid, sigma) for s in kept)
         image = resample_to_grid(rec.pixels, grid) if rec.pixels is not None else None
-        out.append(PreparedExample(rec.image_id, tuple(kept), spat, image))
+        out.append(PreparedExample(rec.image_id, tuple(kept), spat, image, rec.features))
     return out
 
 

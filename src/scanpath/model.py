@@ -12,7 +12,7 @@ behaves like one virtual observer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -66,7 +66,7 @@ class ModelConfig:
 # The checkpoint trailer stores every field but the grid under its own name;
 # the grid is stored as grid_width and grid_height.
 HYPER_FIELDS = tuple(f for f in fields(ModelConfig) if f.name != "grid")
-# Sampling-time knobs, free to differ from the values a checkpoint was trained with.
+# Sampling-time knobs: a model read against a config samples with the config's values, not the checkpoint's.
 SAMPLING_FIELDS = ("th", "threshold_mode")
 
 
@@ -274,13 +274,12 @@ class ScanpathModel:
         maps = [m.values if isinstance(m, ProbMap) else np.asarray(m) for m in input_maps]
         return self._unroll(feat, rng, lambda t, _: maps[t])
 
-    def complete_scanpath(self, feat: Tensor, prefix: Scanpath,
-                          rng: np.random.Generator, th: float | None = None) -> Scanpath:
+    def complete_scanpath(self, feat: Tensor, prefix: Scanpath, rng: np.random.Generator) -> Scanpath:
         """Continue a partial scanpath to full length, keeping the prefix verbatim."""
         if prefix is None:
             raise ParameterError("complete_scanpath needs a prefix")
         path, _ = self.rollout(feat, rng, prefix=prefix, image_id=prefix.image_id,
-                               observer_id=prefix.observer_id, th=th)
+                               observer_id=prefix.observer_id)
         return path
 
 
@@ -394,7 +393,7 @@ def model_from_checkpoint(ckpt, expected: ModelConfig | None = None):
     """Rebuild a model (and Adam moments, rng state) from a checkpoint.
 
     Raises ConfigMismatchError when the stored hyperparameters disagree with
-    the expected configuration.
+    the expected configuration; the model samples with expected's SAMPLING_FIELDS.
     """
     from .autodiff import AdamState
 
@@ -413,10 +412,11 @@ def model_from_checkpoint(ckpt, expected: ModelConfig | None = None):
     except (KeyError, ValueError, OverflowError) as exc:
         raise FormatError(f"checkpoint trailer: {exc!r}") from None
     if expected is not None:
+        cfg = replace(cfg, **{name: getattr(expected, name) for name in SAMPLING_FIELDS})
         diffs = [
             f"{f.name}: checkpoint {getattr(cfg, f.name)} != config {getattr(expected, f.name)}"
             for f in fields(ModelConfig)
-            if f.name not in SAMPLING_FIELDS and getattr(cfg, f.name) != getattr(expected, f.name)
+            if getattr(cfg, f.name) != getattr(expected, f.name)
         ]
         if diffs:
             raise ConfigMismatchError("checkpoint does not match configuration: " + "; ".join(diffs))

@@ -9,9 +9,9 @@ import pytest
 
 from scanpath import cli
 from scanpath.cli import RunConfig, load_run_config, main, metric_config
-from scanpath.core import GazePoint, GridSpec, gaussian_map
-from scanpath.data_io import (load_scanpath_dataset, preprocess, read_checkpoint, read_pgm, save_scanpath_csv,
-                              write_checkpoint, write_feature_tensor, write_pgm)
+from scanpath.core import GazePoint, GridSpec, Scanpath, gaussian_map
+from scanpath.data_io import (load_scanpath_dataset, preprocess, read_checkpoint, read_feature_tensor, read_pgm,
+                              save_scanpath_csv, write_checkpoint, write_feature_tensor, write_pgm)
 from scanpath.errors import DataError, ParameterError
 from scanpath.losses import LossConfig
 from scanpath.metrics import METRIC_ORDER, MetricConfig, human_baseline, write_report_csv
@@ -233,6 +233,33 @@ def test_complete_contract_and_errors(tmp_path, workspace):
                  "--checkpoint", str(ckpt), "--prefix-len", "4"]) == 1
 
 
+def test_complete_writes_the_given_prefix_verbatim(tmp_path, workspace):
+    # 48 x 40 native images on the 16 x 16 grid: the given points must not pass through the grid and back
+    data = tmp_path / "data"
+    data.mkdir()
+    rng = np.random.default_rng(5)
+    paths = []
+    for image_id in ("synth000", "synth001"):
+        write_pgm(data / f"{image_id}.pgm", rng.integers(0, 256, (40, 48), dtype=np.uint8))
+        for o in range(3):
+            xy = rng.uniform(0.0, [48.0, 40.0], (6, 2))
+            paths.append(Scanpath(tuple(GazePoint(float(x), float(y), i) for i, (x, y) in enumerate(xy)),
+                                  image_id, f"obs{o}"))
+    save_scanpath_csv(paths, data / "dataset.csv")
+    cfg = write_cfg(tmp_path / "c.cfg", dataset_csv=str(data / "dataset.csv"), images_dir=str(data),
+                    image_width=48, image_height=40)
+    out = tmp_path / "comp"
+    assert main(["complete", "--config", str(cfg), "--out", str(out), "--checkpoint", str(workspace["ckpt"]),
+                 "--prefix-len", "3", "--repeats", "2", "--seed", "4"]) == 0
+    truth = {(s.image_id, s.observer_id): s for s in load_scanpath_dataset(data / "dataset.csv").scanpaths}
+    done = load_scanpath_dataset(out / "completions.csv").scanpaths
+    assert len(done) == 6 * 2
+    for s in done:
+        assert s.points[:3] == truth[(s.image_id, s.observer_id.rsplit("_c", 1)[0])].points[:3]
+        assert [p.index for p in s.points] == [0, 1, 2, 3]
+        assert 0.0 <= s.points[3].x <= 47.0 and 0.0 <= s.points[3].y <= 39.0
+
+
 def test_saliency_single_fixation_matches_gaussian(tmp_path):
     cfg = write_cfg(tmp_path / "s.cfg", images_dir=str(tmp_path))
     write_pgm(tmp_path / "imgX.pgm", np.zeros((16, 16), dtype=np.uint8))
@@ -423,3 +450,74 @@ def test_train_rejects_bad_feature_input_before_any_checkpoint(tmp_path, workspa
     out = tmp_path / "out"
     assert main(["train", "--config", cfg, "--out", str(out)]) == 2
     assert not list(out.glob("*.spck"))
+
+
+@pytest.fixture(scope="module")
+def precomputed_ckpt(tmp_path_factory, workspace):
+    """A checkpoint trained under feature_source=precomputed."""
+    root = tmp_path_factory.mktemp("precomputed")
+    cfg = precomputed_cfg(root / "pc.cfg", workspace, write_features(root / "f", (2, 16, 16)))
+    assert main(["train", "--config", cfg, "--out", str(root / "t")]) == 0
+    return str(root / "t" / "checkpoint_final.spck")
+
+
+# per broken per-image input: the stderr it must give
+BAD_INPUT_ERRORS = {
+    "no_images_dir": "feature_source=trainable needs image pixels",
+    "no_features_dir": "feature_source=precomputed needs features_dir",
+    "no_feature_file": "missing feature file",
+    "malformed_feature_file": "truncated dimension list",
+    "feature_shape": "feature tensor shape (3, 16, 16)",
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUT_ERRORS))
+def test_bad_per_image_input_exits_2_before_any_output(tmp_path, workspace, precomputed_ckpt, case, capsys):
+    ckpt = precomputed_ckpt
+    if case == "no_images_dir":
+        ckpt = str(workspace["ckpt"])
+        cfg = str(write_cfg(tmp_path / "bad.cfg", dataset_csv=str(workspace["data"] / "dataset.csv")))
+    else:
+        features = tmp_path / "f"
+        if case == "feature_shape":
+            write_features(features, (3, 16, 16))
+        elif case != "no_features_dir":
+            features.mkdir()
+        if case == "malformed_feature_file":
+            for image_id in ("synth000", "synth001"):
+                (features / f"{image_id}.ftns").write_bytes(b"FTNS\x03\x00\x00\x00")
+        cfg = precomputed_cfg(tmp_path / "bad.cfg", workspace, "" if case == "no_features_dir" else str(features))
+    runs = {"predict": ["--checkpoint", ckpt, "--count", "1"],
+            "complete": ["--checkpoint", ckpt, "--prefix-len", "2", "--repeats", "1"]}
+    if case in ("no_features_dir", "no_feature_file"):
+        runs["train"] = []
+    capsys.readouterr()
+    for command, extra in runs.items():
+        out = tmp_path / f"out_{command}"
+        assert main([command, "--config", cfg, "--out", str(out), *extra]) == 2, command
+        assert BAD_INPUT_ERRORS[case] in capsys.readouterr().err, command
+        assert not out.exists(), command
+
+
+def test_predict_samples_with_the_configs_threshold_mode(tmp_path, workspace):
+    # an absolute cut of 0.5 lies above every map's maximum, so each point falls back to its map's argmax
+    cfg = write_cfg(tmp_path / "abs.cfg", dataset_csv=str(workspace["data"] / "dataset.csv"),
+                    images_dir=str(workspace["data"]), threshold_mode="absolute", th=0.5)
+    out = tmp_path / "p"
+    assert main(["predict", "--config", str(cfg), "--out", str(out), "--checkpoint", str(workspace["ckpt"]),
+                 "--count", "3", "--seed", "2", "--dump-tspm"]) == 0
+    paths = load_scanpath_dataset(out / "predicted.csv").scanpaths
+    assert len(paths) == 2 * 3
+    for s in paths:
+        stack = read_feature_tensor(out / "tspm" / f"{s.image_id}_{s.observer_id[len('model'):]}.ftns")
+        assert stack.shape == (4, 16, 16) and stack.max() < 0.5
+        rows, cols = np.unravel_index(stack.reshape(4, -1).argmax(axis=1), (16, 16))
+        assert s.coords().tolist() == np.column_stack([cols, rows]).astype(float).tolist()
+
+
+def test_saliency_and_evaluate_read_no_per_image_input(tmp_path, workspace):
+    cfg = precomputed_cfg(tmp_path / "pc.cfg", workspace, "")  # neither images_dir nor features_dir
+    truth = str(workspace["data"] / "dataset.csv")
+    assert main(["saliency", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "e"), "--predicted", truth,
+                 "--truth", truth]) == 0

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from scanpath.core import GazePoint, GridSpec, Scanpath, group_by_image
 from scanpath.data_io import (
+    FEATURE_MAGIC,
     Checkpoint,
     Dataset,
     ImageRecord,
@@ -106,6 +108,35 @@ def test_csv_unknown_image_id(tmp_path):
     f.write_text("image_id,observer_id,fix_index,x,y\nmissing,obs,0,1.0,2.0\n")
     with pytest.raises(DataError, match="missing"):
         load_scanpath_dataset(f, images_dir=tmp_path)
+
+
+def test_loader_attaches_each_images_feature_tensor_and_preprocess_carries_it(tmp_path):
+    csv = tmp_path / "ds.csv"
+    save_scanpath_csv([Scanpath((GazePoint(1.0, 2.0, 0), GazePoint(3.0, 1.0, 1)), image_id, "o")
+                       for image_id in ("a", "b")], csv)
+    features = tmp_path / "f"
+    features.mkdir()
+    rng = np.random.default_rng(4)
+    want = {image_id: rng.standard_normal((2, 4, 4)) for image_id in ("a", "b")}
+    for image_id, arr in want.items():
+        write_feature_tensor(features / f"{image_id}.ftns", arr)
+    ds = load_scanpath_dataset(csv, features_dir=features)
+    assert [rec.image_id for rec in ds.images] == ["a", "b"]
+    for rec in ds.images:
+        assert (rec.features == want[rec.image_id]).all()
+    assert all(rec.features is None for rec in load_scanpath_dataset(csv).images)
+    prepared = preprocess(ds, GridSpec(4, 4), n_fix=2, sigma=1.0, min_len=1)
+    assert [ex.image_id for ex in prepared] == ["a", "b"]
+    for ex in prepared:
+        assert (ex.features == want[ex.image_id]).all()
+
+    missing = features / "b.ftns"
+    missing.unlink()
+    with pytest.raises(DataError, match=f"^missing feature file {re.escape(str(missing))}$"):
+        load_scanpath_dataset(csv, features_dir=features)
+    missing.write_bytes(FEATURE_MAGIC + struct.pack("<I", 3))  # a rank with no dimension list
+    with pytest.raises(FormatError, match="truncated dimension list"):
+        load_scanpath_dataset(csv, features_dir=features)
 
 
 def make_dataset(lengths, width=64, height=48):

@@ -6,9 +6,9 @@ import pytest
 from scanpath import autodiff as ad
 from scanpath import model as model_module
 from scanpath.autodiff import BayesConvParams, sample_bayes_kernel
-from scanpath.cli import RunConfig, load_features
 from scanpath.core import EPS, GazePoint, GridSpec, ProbMap, Scanpath, gaussian_map, map_argmax
-from scanpath.data_io import preprocess, read_checkpoint, synth_dataset, write_checkpoint, write_feature_tensor
+from scanpath.data_io import (load_scanpath_dataset, preprocess, read_checkpoint, save_scanpath_csv, synth_dataset,
+                              write_checkpoint, write_feature_tensor)
 from scanpath.errors import ConfigMismatchError, DataError, FormatError, ParameterError
 from scanpath.losses import LossConfig
 from scanpath.model import (
@@ -55,21 +55,27 @@ def test_coord_planes_3x3():
         assert np.allclose(col, [-1.0, 0.0, 1.0])
 
 
+def load_features(directory, image_id):
+    """The feature tensor the dataset loader attaches to image_id from directory."""
+    csv = directory / f"{image_id}.csv"
+    save_scanpath_csv([Scanpath((GazePoint(1.0, 1.0, 0),), image_id, "o")], csv)
+    return load_scanpath_dataset(csv, features_dir=directory).images[0].features
+
+
 def test_precomputed_feature_round_trip(tmp_path):
     model = ScanpathModel.create(tiny_cfg(), np.random.default_rng(0))
-    rc = RunConfig(feature_source="precomputed", features_dir=str(tmp_path))
     rng = np.random.default_rng(0)
     arr = rng.standard_normal((1, 8, 8))
     write_feature_tensor(tmp_path / "imgA.ftns", arr)
-    assert np.array_equal(model.feature_stack(precomputed=load_features(rc, "imgA")).data, arr)
+    assert np.array_equal(model.feature_stack(precomputed=load_features(tmp_path, "imgA")).data, arr)
     with pytest.raises(DataError):
-        load_features(rc, "missing")
+        load_features(tmp_path, "missing")
     with pytest.raises(DataError):  # the precomputed source ignores pixels
         model.feature_stack(image=np.zeros((8, 8)))
 
     write_feature_tensor(tmp_path / "imgB.ftns", rng.standard_normal((3, 8, 8)))
     with pytest.raises(ConfigMismatchError):
-        model.feature_stack(precomputed=load_features(rc, "imgB"))
+        model.feature_stack(precomputed=load_features(tmp_path, "imgB"))
 
 
 def test_trainable_stack_zero_image_gives_zero_features():
@@ -523,6 +529,17 @@ def test_checkpoint_round_trip_and_mismatch(tmp_path):
         model_from_checkpoint(read_checkpoint(path), expected=replace(cfg, sigma=2.0))
     # sampling-time knobs may differ from the checkpoint
     model_from_checkpoint(read_checkpoint(path), expected=replace(cfg, th=0.3, threshold_mode="absolute"))
+
+
+def test_checkpoint_read_against_a_config_samples_with_its_sampling_fields(tmp_path):
+    cfg = tiny_cfg()
+    path = tmp_path / "m.spck"
+    write_checkpoint(path, model_to_checkpoint(ScanpathModel.create(cfg, np.random.default_rng(0))))
+    loaded, _, _, _ = model_from_checkpoint(read_checkpoint(path), expected=replace(cfg, th=0.3,
+                                                                                    threshold_mode="absolute"))
+    assert (loaded.cfg.th, loaded.cfg.threshold_mode) == (0.3, "absolute")
+    assert loaded.cfg == replace(cfg, th=0.3, threshold_mode="absolute")
+    assert model_from_checkpoint(read_checkpoint(path))[0].cfg == cfg  # read alone, the checkpoint's own values
 
 
 def test_checkpoint_trailer_pins_every_model_key():
