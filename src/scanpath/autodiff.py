@@ -195,18 +195,23 @@ def concat0(tensors, axis: int = 0) -> Tensor:
     return node(np.concatenate([t.data for t in tensors], axis=axis), tensors, vjp)
 
 
-def slice0(a: Tensor, start: int, stop: int) -> Tensor:
-    """View of rows [start, stop) along axis 0."""
-    n = a.data.shape[0]
+def slice0(a: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:
+    """Copy of entries [start, stop) along `axis` (default 0; a negative axis counts from the end).
+
+    The VJP scatters the gradient into zeros of a's shape."""
+    if not -a.data.ndim <= axis < a.data.ndim:
+        raise ShapeError(f"slice0: axis {axis} out of range for {a.data.ndim} dimensions")
+    n = a.data.shape[axis]
     if not (0 <= start < stop <= n):
         raise ShapeError(f"slice0 [{start}:{stop}] out of range for axis of size {n}")
+    index = (slice(None),) * (axis % a.data.ndim) + (slice(start, stop),)
 
     def vjp(g):
         full = np.zeros_like(a.data)
-        full[start:stop] = g
+        full[index] = g
         return (full,)
 
-    return node(a.data[start:stop].copy(), (a,), vjp)
+    return node(a.data[index].copy(), (a,), vjp)
 
 
 def map_softmax(a: Tensor) -> Tensor:
@@ -274,12 +279,14 @@ def _patches(xd: np.ndarray, k: int) -> np.ndarray:
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     """Same-padded 2-D cross-correlation.
 
-    x: [C_in, H, W]; kernel: [C_out, C_in, k, k] with k odd; bias: [C_out] or
-    None. Spatial size is preserved with zero padding.
+    x: [C_in, H, W]; kernel: [C_out, C_in, k, k] with k odd; bias: [C_out],
+    a per-pixel [C_out, H, W] (whose gradient is the output's own) or None.
+    Spatial size is preserved with zero padding.
 
     The node keeps no im2col matrix: the VJP rebuilds it from x.data and reads
     kernel.data when backward() runs, so neither may be changed in place
-    between this call and backward().
+    between this call and backward(). The VJP computes no gradient for an x
+    that requires none.
     """
     xd, kd = x.data, kernel.data
     if xd.ndim != 3 or kd.ndim != 4:
@@ -289,29 +296,31 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"conv2d: kernel must be square with odd size, got {kh}x{kw}")
     if xd.shape[0] != c_in:
         raise ShapeError(f"conv2d: input has {xd.shape[0]} channels, kernel expects {c_in}")
-    if bias is not None and bias.data.shape != (c_out,):
-        raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({c_out},)")
     _, h, w = xd.shape
+    if bias is not None and bias.data.shape not in ((c_out,), (c_out, h, w)):
+        raise ShapeError(f"conv2d: bias shape {bias.data.shape} is neither ({c_out},) nor {(c_out, h, w)}")
 
     k2 = kd.reshape(c_out, -1)
     out = (k2 @ _patches(xd, kh)).reshape(c_out, h, w)
     if bias is not None:
-        out = out + bias.data[:, None, None]
+        out += bias.data if bias.data.ndim == 3 else bias.data[:, None, None]
 
     def vjp(g):
         gm = g.reshape(c_out, -1)
         grad_k = (gm @ _patches(x.data, kh).T).reshape(kd.shape)
-        cols_g = (k2.T @ gm).reshape(c_in, kh, kw, h, w)
-        # col2im: tap (di, dj) of output pixel (r, c) reads bordered pixel (r + di, c + dj)
-        pad = kh // 2
-        gp = np.zeros((c_in, h + 2 * pad, w + 2 * pad))
-        for di in range(kh):
-            for dj in range(kw):
-                gp[:, di:di + h, dj:dj + w] += cols_g[:, di, dj]
-        grad_x = gp[:, pad:pad + h, pad:pad + w]
+        grad_x = None
+        if x.requires_grad:
+            cols_g = (k2.T @ gm).reshape(c_in, kh, kw, h, w)
+            # col2im: tap (di, dj) of output pixel (r, c) reads bordered pixel (r + di, c + dj)
+            pad = kh // 2
+            gp = np.zeros((c_in, h + 2 * pad, w + 2 * pad))
+            for di in range(kh):
+                for dj in range(kw):
+                    gp[:, di:di + h, dj:dj + w] += cols_g[:, di, dj]
+            grad_x = gp[:, pad:pad + h, pad:pad + w]
         if bias is None:
             return (grad_x, grad_k)
-        return (grad_x, grad_k, g.sum(axis=(1, 2)))
+        return (grad_x, grad_k, g if bias.data.ndim == 3 else g.sum(axis=(1, 2)))
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     return node(out, parents, vjp)

@@ -40,8 +40,8 @@ from .errors import (
 )
 from .losses import LossConfig
 from .metrics import MetricConfig, evaluate_set, human_baseline, random_baseline, write_report_csv
-from .model import HYPER_FIELDS, ModelConfig, model_from_checkpoint
-from .training import TrainConfig, train
+from .model import HYPER_FIELDS, ModelConfig, ScanpathModel, model_from_checkpoint
+from .training import TrainConfig, check_feature_inputs, train
 
 
 @dataclass(frozen=True)
@@ -182,10 +182,11 @@ def _load_dataset(rc: RunConfig, override_csv=None, model_inputs=True):
 def cmd_train(args) -> int:
     rc = _apply_overrides(load_run_config(args.config), args)
     dataset = _load_dataset(rc)
-    out = _prepare_out(args, rc, {"config": args.config, "dataset": rc.dataset_csv})
     mcfg = model_config(rc)
     prepared = preprocess(dataset, mcfg.grid, n_fix=rc.n_fixations, sigma=rc.sigma,
                           min_len=rc.min_scanpath_len)
+    check_feature_inputs(ScanpathModel.create(mcfg, np.random.default_rng(0)), prepared)  # before anything is written
+    out = _prepare_out(args, rc, {"config": args.config, "dataset": rc.dataset_csv})
     cfg = TrainConfig(model=mcfg, loss=loss_config(rc), lr=rc.lr, max_steps=rc.max_steps,
                       checkpoint_every=rc.checkpoint_every, seed=rc.seed,
                       teacher_forcing=rc.teacher_forcing)

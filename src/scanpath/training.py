@@ -112,6 +112,13 @@ def _log_rows_through(path: Path, step: int) -> list[str]:
     return rows
 
 
+def check_feature_inputs(model: ScanpathModel, prepared: list[PreparedExample]) -> None:
+    """Build each example's feature stack, so a missing or misshapen feature input fails before anything is written."""
+    with ad.no_grad():
+        for ex in prepared:
+            model.feature_stack(image=ex.image, precomputed=ex.features)
+
+
 def train(prepared: list[PreparedExample], cfg: TrainConfig, out_dir, resume_from=None):
     """Run the loop; writes loss_log.csv and checkpoints, returns (path, log).
 
@@ -134,9 +141,7 @@ def train(prepared: list[PreparedExample], cfg: TrainConfig, out_dir, resume_fro
         state = TrainState(model=model, adam=adam, rng=rng, step=step)
     else:
         state = init_state(cfg)
-    with ad.no_grad():  # a missing or misshapen feature input fails before any checkpoint is written
-        for ex in prepared:
-            state.model.feature_stack(image=ex.image, precomputed=ex.features)
+    check_feature_inputs(state.model, prepared)
     if resume_from is None:
         write_checkpoint(out / "checkpoint_000000.spck", _checkpoint(state))
 

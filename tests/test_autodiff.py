@@ -111,7 +111,9 @@ def test_conv2d_shape_errors():
 
 
 def per_tap_conv2d(x, kernel, bias, g):
-    """Zero-filled im2col with one copy per tap, and per-tap col2im: (out, grad_x, grad_kernel, grad_bias)."""
+    """Zero-filled im2col with one copy per tap, and per-tap col2im: (out, grad_x, grad_kernel, grad_bias).
+
+    bias is [C_out], a per-pixel [C_out, H, W] or None."""
     c_out, c_in, k, _ = kernel.shape
     _, h, w = x.shape
     pad = k // 2
@@ -129,18 +131,18 @@ def per_tap_conv2d(x, kernel, bias, g):
     k2 = kernel.reshape(c_out, -1)
     out = (k2 @ patches).reshape(c_out, h, w)
     if bias is not None:
-        out = out + bias[:, None, None]
+        out = out + (bias if bias.ndim == 3 else bias[:, None, None])
     gm = g.reshape(c_out, -1)
     grad_k = (gm @ patches.T).reshape(kernel.shape)
     cols_g = (k2.T @ gm).reshape(c_in, k, k, h, w)
     grad_x = np.zeros_like(x)
     for di, dj, (rows, src_rows), (cols, src_cols) in windows:
         grad_x[:, src_rows, src_cols] += cols_g[:, di, dj, rows, cols]
-    return out, grad_x, grad_k, None if bias is None else g.sum(axis=(1, 2))
+    return out, grad_x, grad_k, None if bias is None else g if bias.ndim == 3 else g.sum(axis=(1, 2))
 
 
-def conv2d_with_grads(xv, kv, bv, g):
-    x, k = parameter(xv), parameter(kv)
+def conv2d_with_grads(xv, kv, bv, g, x_grad=True):
+    x, k = (parameter(xv) if x_grad else constant(xv)), parameter(kv)
     b = None if bv is None else parameter(bv)
     out = conv2d(x, k, b)
     backward(tsum(hadamard(out, constant(g))))
@@ -165,6 +167,41 @@ def test_conv2d_equals_per_tap_oracle(k, with_bias):
             bv = rng.standard_normal(3) if with_bias else None
             g = rng.standard_normal((3, h, w))
             assert_same_bits(conv2d_with_grads(xv, kv, bv, g), per_tap_conv2d(xv, kv, bv, g))
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv2d_per_pixel_bias_equals_per_tap_oracle(k):
+    rng = np.random.default_rng(50 + k)
+    for h in (1, 2, 5, 9):
+        for w in (1, 2, 5, 9):
+            xv = rng.standard_normal((2, h, w))
+            kv = rng.standard_normal((3, 2, k, k))
+            bv = rng.standard_normal((3, h, w))
+            g = rng.standard_normal((3, h, w))
+            got = conv2d_with_grads(xv, kv, bv, g)
+            assert_same_bits(got, per_tap_conv2d(xv, kv, bv, g))
+            assert np.array_equal(got[3], g)  # a per-pixel bias's gradient is the output's own
+
+
+@pytest.mark.parametrize("bias", ["none", "channel", "pixel"])
+def test_conv2d_input_without_grad_gets_none_and_the_oracles_other_grads(bias):
+    rng = np.random.default_rng(55)
+    for k in (1, 3):
+        xv = rng.standard_normal((2, 5, 4))
+        kv = rng.standard_normal((3, 2, k, k))
+        bv = {"none": None, "channel": rng.standard_normal(3), "pixel": rng.standard_normal((3, 5, 4))}[bias]
+        g = rng.standard_normal((3, 5, 4))
+        out, grad_x, grad_k, grad_b = conv2d_with_grads(xv, kv, bv, g, x_grad=False)
+        want_out, _, want_k, want_b = per_tap_conv2d(xv, kv, bv, g)
+        assert grad_x is None
+        assert_same_bits((out, grad_k, grad_b), (want_out, want_k, want_b))
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (4,), (3, 1, 1), (3, 5), (3, 4, 5), (1, 5, 4), (3, 5, 4, 1)])
+def test_conv2d_rejects_any_other_bias_shape(shape):
+    x, k = constant(np.zeros((2, 5, 4))), constant(np.zeros((3, 2, 3, 3)))
+    with pytest.raises(ShapeError):
+        conv2d(x, k, constant(np.zeros(shape)))
 
 
 def test_conv2d_node_holds_only_its_output():
@@ -385,6 +422,29 @@ def test_grad_check_concat_slice():
     assert concat0([constant(np.zeros((2, 1))), constant(np.ones((2, 3)))], axis=-1).shape == (2, 4)
     with pytest.raises(ShapeError):
         concat0([constant(np.zeros((2, 1))), constant(np.ones((3, 1)))], axis=1)
+
+
+@pytest.mark.parametrize("axis", [1, -1, -2])
+def test_slice0_along_an_axis_equals_numpy_slicing(axis):
+    rng = np.random.default_rng(60)
+    av = rng.standard_normal((4, 5, 6))
+    index = [slice(None)] * 3
+    index[axis] = slice(1, 4)
+    a = parameter(av)
+    out = slice0(a, 1, 4, axis=axis)
+    g = rng.standard_normal(out.shape)
+    backward(tsum(hadamard(out, constant(g))))
+    want_grad = np.zeros_like(av)
+    want_grad[tuple(index)] = g  # the VJP fills every entry outside the slice with zeros
+    assert out.shape == av[tuple(index)].shape and np.array_equal(out.data, av[tuple(index)])
+    assert np.array_equal(a.grad, want_grad)
+
+
+@pytest.mark.parametrize("start, stop, axis", [(0, 6, 1), (-1, 2, 1), (3, 3, 2), (4, 2, -1), (0, 5, 2), (0, 7, -2),
+                                               (0, 1, 3), (0, 1, -4)])
+def test_slice0_rejects_out_of_range_bounds_and_axes(start, stop, axis):
+    with pytest.raises(ShapeError):
+        slice0(constant(np.zeros((4, 5, 4))), start, stop, axis=axis)
 
 
 def test_sample_bayes_kernel_degenerate_and_deterministic():

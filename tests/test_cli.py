@@ -489,8 +489,7 @@ def test_bad_per_image_input_exits_2_before_any_output(tmp_path, workspace, prec
         cfg = precomputed_cfg(tmp_path / "bad.cfg", workspace, "" if case == "no_features_dir" else str(features))
     runs = {"predict": ["--checkpoint", ckpt, "--count", "1"],
             "complete": ["--checkpoint", ckpt, "--prefix-len", "2", "--repeats", "1"]}
-    if case in ("no_features_dir", "no_feature_file"):
-        runs["train"] = []
+    runs["train"] = []
     capsys.readouterr()
     for command, extra in runs.items():
         out = tmp_path / f"out_{command}"

@@ -238,6 +238,22 @@ def unfused_run_stack(model, x, state, sampled):
     return x
 
 
+def unfused_unroll(model, feat, rng, feed, leaves):
+    """The oracle's time loop: every step convolves all of [features; map; coords] and h, from a zero state."""
+    cfg = model.cfg
+    sampled = unfused_sample_layer_weights(model, rng, leaves)
+    shape = (cfg.hidden_channels, cfg.grid.height, cfg.grid.width)
+    state = [(ad.constant(np.zeros(shape)), ad.constant(np.zeros(shape))) for _ in range(cfg.layers)]
+    current = model.prior.g_c.values
+    frames = []
+    for t in range(cfg.n_fixations):
+        x = ad.concat0([feat, ad.constant(current[None]), ad.constant(coord_planes(cfg.grid))])
+        frames.append(tspm_head(unfused_run_stack(model, x, state, sampled), model.head_kernel, model.head_bias))
+        if t < cfg.n_fixations - 1:
+            current = feed(t, frames[-1])
+    return frames
+
+
 def test_train_step_matches_unfused_cell_oracle():
     grid = GridSpec(10, 7)
     prepared = preprocess(synth_dataset(1, 4, 1, grid, np.random.default_rng(42)), grid, n_fix=4, sigma=1.0)
@@ -246,8 +262,7 @@ def test_train_step_matches_unfused_cell_oracle():
     fused, oracle = init_state(cfg), init_state(cfg)
     ref_model = oracle.model
     leaves = []
-    ref_model._sample_layer_weights = lambda rng: unfused_sample_layer_weights(ref_model, rng, leaves)
-    ref_model._run_stack = lambda x, state, sampled: unfused_run_stack(ref_model, x, state, sampled)
+    ref_model._unroll = lambda feat, rng, feed: unfused_unroll(ref_model, feat, rng, feed, leaves)
 
     loss, ref_loss = train_step(prepared[0], fused, cfg), train_step(prepared[0], oracle, cfg)
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
