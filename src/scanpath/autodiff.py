@@ -177,13 +177,22 @@ def tsum(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     old = a.data.shape
-    return node(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
+    try:
+        out = a.data.reshape(shape)
+    except ValueError:
+        raise ShapeError(f"reshape: cannot reshape {old} to {shape}") from None
+    return node(out, (a,), lambda g: (g.reshape(old),))
 
 
 def concat0(tensors, axis: int = 0) -> Tensor:
     """Concatenate along `axis` (default 0); every other dimension must match."""
     tensors = list(tensors)
-    axis = range(tensors[0].data.ndim)[axis]  # a negative axis counts from the end
+    if not tensors:
+        raise ShapeError("concat0: nothing to concatenate")
+    ndim = tensors[0].data.ndim
+    if not -ndim <= axis < ndim:
+        raise ShapeError(f"concat0: axis {axis} out of range for {ndim} dimensions")
+    axis %= ndim  # a negative axis counts from the end
     shapes = [t.data.shape[:axis] + t.data.shape[axis + 1:] for t in tensors]
     if any(s != shapes[0] for s in shapes):
         raise ShapeError(f"concat0: dimensions other than axis {axis} differ")
@@ -261,68 +270,111 @@ def lstm_cell(pre: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
 # convolution
 
 
-def _patches(xd: np.ndarray, k: int) -> np.ndarray:
-    """[C*k*k, H*W] im2col matrix of a same-padded k x k window over xd [C, H, W], rows ordered (channel, di, dj).
+def _zero_wrapped(taps: np.ndarray) -> None:
+    """Zero tap (di, dj) of each pixel whose column c + dj - k // 2 is outside [0, W) in a [C, k, k, H, W] tap array.
 
-    One C-order copy of a strided view of the zero-bordered input; a plain
-    reshape returns a view where the strides merge (W = 1), which the GEMM
-    rounds differently."""
-    c, h, w = xd.shape
-    pad = k // 2
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
-    xp[:, pad:pad + h, pad:pad + w] = xd
-    s0, s1, s2 = xp.strides
-    view = np.lib.stride_tricks.as_strided(xp, (c, k, k, h, w), (s0, s1, s2, s1, s2), writeable=False)
-    return np.ascontiguousarray(view).reshape(c * k * k, h * w)
+    Nothing is written where no column wraps, as in a (read-only) 1x1 unfold."""
+    k, w = taps.shape[2], taps.shape[4]
+    for dj in range(k):
+        lo, hi = min(w, max(0, k // 2 - dj)), max(0, min(w, w + k // 2 - dj))
+        if lo > 0:
+            taps[:, :, dj, :, :lo] = 0.0
+        if hi < w:
+            taps[:, :, dj, :, hi:] = 0.0
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
+def _patches(blocks, k: int) -> np.ndarray:
+    """[C*k*k, H*W] im2col matrix of a same-padded k x k window over the blocks' C channels, rows (channel, di, dj).
+
+    The blocks are written, flattened, into the interior of a [C, m + H*W + m] buffer with zeroed margins,
+    m = (k // 2) * (W + 1), where tap (di, dj) of every pixel is the constant flat offset (di - k // 2) * W +
+    (dj - k // 2): rows above or below the image land in the zero margins, and columns left or right of it wrap
+    into a neighbouring row. The matrix is one C-order copy of a strided view of that buffer, with the wrapped
+    taps then zeroed."""
+    c, (h, w) = sum(len(b) for b in blocks), blocks[0].shape[1:]
+    m = k // 2 * (w + 1)
+    buf = np.empty((c, 2 * m + h * w))
+    buf[:, :m] = buf[:, m + h * w:] = 0.0
+    c0 = 0
+    for b in blocks:
+        buf[c0:c0 + len(b), m:m + h * w] = b.reshape(len(b), -1)
+        c0 += len(b)
+    s0, s1 = buf.strides
+    view = np.lib.stride_tricks.as_strided(buf, (c, k, k, h * w), (s0, w * s1, s1, s1), writeable=False)
+    cols = np.ascontiguousarray(view)
+    _zero_wrapped(cols.reshape(c, k, k, h, w))
+    return cols.reshape(c * k * k, h * w)
+
+
+def conv2d(x, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     """Same-padded 2-D cross-correlation.
 
-    x: [C_in, H, W]; kernel: [C_out, C_in, k, k] with k odd; bias: [C_out],
-    a per-pixel [C_out, H, W] (whose gradient is the output's own) or None.
-    Spatial size is preserved with zero padding.
+    x: [C_in, H, W], or a list of [C_j, H, W] blocks read as their channel
+    concatenation (no concatenated copy is made); kernel: [C_out, C_in, k, k]
+    with k odd; bias: [C_out], a per-pixel [C_out, H, W] (whose gradient is
+    the output's own) or None. Spatial size is preserved with zero padding.
 
-    The node keeps no im2col matrix: the VJP rebuilds it from x.data and reads
-    kernel.data when backward() runs, so neither may be changed in place
-    between this call and backward(). The VJP computes no gradient for an x
-    that requires none.
+    Both directions run on `_patches`' zero-margined flat layout: the forward
+    unfolds it; the VJP writes Kᵀ·g into the interior of one such buffer by
+    one GEMM over all channels, then folds each block that needs a gradient
+    by adding its k² shifted windows in (di, dj) order, the order of a per-tap
+    col2im. A block that needs none gets None.
+
+    The node keeps no im2col matrix: the VJP rebuilds it from the blocks' data
+    and reads kernel.data when backward() runs, so neither may be changed in
+    place between this call and backward().
     """
-    xd, kd = x.data, kernel.data
-    if xd.ndim != 3 or kd.ndim != 4:
-        raise ShapeError(f"conv2d: input ndim {xd.ndim}, kernel ndim {kd.ndim}")
-    c_out, c_in, kh, kw = kd.shape
-    if kh != kw or kh % 2 == 0:
-        raise ShapeError(f"conv2d: kernel must be square with odd size, got {kh}x{kw}")
-    if xd.shape[0] != c_in:
-        raise ShapeError(f"conv2d: input has {xd.shape[0]} channels, kernel expects {c_in}")
-    _, h, w = xd.shape
+    blocks = [x] if isinstance(x, Tensor) else list(x)
+    datas, kd = [b.data for b in blocks], kernel.data
+    if not datas:
+        raise ShapeError("conv2d: no input blocks")
+    if kd.ndim != 4 or any(d.ndim != 3 for d in datas):
+        raise ShapeError(f"conv2d: input ndims {[d.ndim for d in datas]}, kernel ndim {kd.ndim}")
+    c_out, c_in, k, kw = kd.shape
+    if k != kw or k % 2 == 0:
+        raise ShapeError(f"conv2d: kernel must be square with odd size, got {k}x{kw}")
+    _, h, w = datas[0].shape
+    if any(d.shape[1:] != (h, w) for d in datas):
+        raise ShapeError(f"conv2d: input blocks differ in H x W: {[d.shape[1:] for d in datas]}")
+    if sum(len(d) for d in datas) != c_in:
+        raise ShapeError(f"conv2d: input has {sum(len(d) for d in datas)} channels, kernel expects {c_in}")
     if bias is not None and bias.data.shape not in ((c_out,), (c_out, h, w)):
         raise ShapeError(f"conv2d: bias shape {bias.data.shape} is neither ({c_out},) nor {(c_out, h, w)}")
 
     k2 = kd.reshape(c_out, -1)
-    out = (k2 @ _patches(xd, kh)).reshape(c_out, h, w)
+    out = (k2 @ _patches(datas, k)).reshape(c_out, h, w)
     if bias is not None:
         out += bias.data if bias.data.ndim == 3 else bias.data[:, None, None]
 
     def vjp(g):
         gm = g.reshape(c_out, -1)
-        grad_k = (gm @ _patches(x.data, kh).T).reshape(kd.shape)
-        grad_x = None
-        if x.requires_grad:
-            cols_g = (k2.T @ gm).reshape(c_in, kh, kw, h, w)
-            # col2im: tap (di, dj) of output pixel (r, c) reads bordered pixel (r + di, c + dj)
-            pad = kh // 2
-            gp = np.zeros((c_in, h + 2 * pad, w + 2 * pad))
-            for di in range(kh):
-                for dj in range(kw):
-                    gp[:, di:di + h, dj:dj + w] += cols_g[:, di, dj]
-            grad_x = gp[:, pad:pad + h, pad:pad + w]
+        grad_k = (gm @ _patches(datas, k).T).reshape(kd.shape)
+        grads_x = [None] * len(blocks)
+        if any(b.requires_grad for b in blocks):
+            p, hw = k // 2, h * w
+            m = p * (w + 1)
+            taps = np.empty((c_in * k * k, 2 * m + hw))
+            taps[:, :m] = taps[:, m + hw:] = 0.0
+            np.matmul(k2.T, gm, out=taps[:, m:m + hw])
+            taps = taps.reshape(c_in, k, k, -1)
+            _zero_wrapped(taps[..., m:m + hw].reshape(c_in, k, k, h, w))
+            c0 = 0
+            for j, (b, d) in enumerate(zip(blocks, datas)):
+                c1 = c0 + len(d)
+                if b.requires_grad:
+                    acc = np.zeros((c1 - c0, hw))
+                    for di in range(k):
+                        for dj in range(k):
+                            # tap (di, dj) of output pixel q reads input pixel q + (di - p) * W + (dj - p)
+                            start = m - (di - p) * w - (dj - p)
+                            acc += taps[c0:c1, di, dj, start:start + hw]
+                    grads_x[j] = acc.reshape(d.shape)
+                c0 = c1
         if bias is None:
-            return (grad_x, grad_k)
-        return (grad_x, grad_k, g if bias.data.ndim == 3 else g.sum(axis=(1, 2)))
+            return (*grads_x, grad_k)
+        return (*grads_x, grad_k, g if bias.data.ndim == 3 else g.sum(axis=(1, 2)))
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    parents = (*blocks, kernel) if bias is None else (*blocks, kernel, bias)
     return node(out, parents, vjp)
 
 

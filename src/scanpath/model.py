@@ -196,11 +196,12 @@ class ScanpathModel:
     def _run_stack(self, x: Tensor, state: list, sampled) -> Tensor:
         """One step up the layers; state holds each layer's (h, c) and is updated in place.
 
-        A layer whose h is None (the zero state) convolves its input alone, so its kernel holds the input-side columns.
+        Each layer convolves the channel blocks [x, h_prev] as one input, without concatenating them. A layer
+        whose h is None (the zero state) convolves its input alone, so its kernel holds the input-side columns.
         """
         for l, (kernel, bias) in enumerate(sampled):
             h_prev, c_prev = state[l]
-            x_in = x if h_prev is None else ad.concat0([x, h_prev])
+            x_in = x if h_prev is None else [x, h_prev]
             x, c = ad.lstm_cell(ad.conv2d(x_in, kernel, bias), c_prev)
             state[l] = (x, c)
         return x
@@ -211,16 +212,17 @@ class ScanpathModel:
         """Per-step map tensors over n_fixations steps, from kernels drawn once, zero state and the center prior.
 
         Layer 0's input is [features; map; coords]. The feature and coordinate channels are the same at every
-        step, so their share of the gate pre-activations, with the drawn bias, is convolved once; each step then
-        convolves only [map; h] and adds that share as a per-pixel bias. At t = 0 the state is zero and every
-        layer convolves its input with the input-side kernel columns only.
+        step, so their share of the gate pre-activations, with the drawn bias, is convolved once from the blocks
+        [feat, coords]; each step then convolves only [map; h] and adds that share as a per-pixel bias. At t = 0
+        the state is zero and every layer convolves its input with the input-side kernel columns only. Only the
+        kernel columns are concatenated, once per rollout; no activation is.
         feed(t, tspm) returns the map fed at step t + 1; it is not called after the last step.
         """
         cfg = self.cfg
         f, n = cfg.feature_channels, cfg.hidden_channels
         (k0, b0), *upper = self._sample_layer_weights(rng)
         cols = lambda k, start, stop: ad.slice0(k, start, stop, axis=1)
-        share = ad.conv2d(ad.concat0([feat, self._coord]), ad.concat0([cols(k0, 0, f), cols(k0, f + 1, f + 3)], 1), b0)
+        share = ad.conv2d([feat, self._coord], ad.concat0([cols(k0, 0, f), cols(k0, f + 1, f + 3)], 1), b0)
         map_cols = cols(k0, f, f + 1)
         first = [(map_cols, share)] + [(cols(k, 0, n), b) for k, b in upper]
         steps = [(ad.concat0([map_cols, cols(k0, f + 3, f + 3 + n)], 1), share)] + upper

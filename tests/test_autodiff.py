@@ -221,6 +221,75 @@ def test_conv2d_node_holds_only_its_output():
     assert_same_bits((out.data, x.grad, k.grad), per_tap_conv2d(xv, kv, None, g)[:3])
 
 
+def block_conv2d_with_grads(xvs, needs, kv, bv, g):
+    """conv2d over the blocks xvs (a parameter where needs says so, else a constant) and its VJP's outputs."""
+    xs = [parameter(v) if need else constant(v) for v, need in zip(xvs, needs)]
+    out = conv2d(xs, parameter(kv), None if bv is None else parameter(bv))
+    grads = out._vjp(g)
+    return out.data, grads[:len(xs)], grads[len(xs)], None if bv is None else grads[-1]
+
+
+@pytest.mark.parametrize("bias", ["none", "channel", "pixel"])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv2d_over_channel_blocks_equals_per_tap_oracle_on_their_concatenation(k, bias):
+    rng = np.random.default_rng(70 + k)
+    for h in (1, 2, 5, 9):
+        for w in (1, 2, 5, 9):
+            for sizes in ([1] * rng.integers(1, 4), list(rng.integers(1, 4, size=rng.integers(1, 4)))):
+                needs = [bool(n) for n in rng.integers(0, 2, size=len(sizes))]
+                xvs = [rng.standard_normal((c, h, w)) for c in sizes]
+                kv = rng.standard_normal((3, sum(sizes), k, k))
+                bv = {"none": None, "channel": rng.standard_normal(3), "pixel": rng.standard_normal((3, h, w))}[bias]
+                g = rng.standard_normal((3, h, w))
+                out, grads_x, grad_k, grad_b = block_conv2d_with_grads(xvs, needs, kv, bv, g)
+                want_out, want_x, want_k, want_b = per_tap_conv2d(np.concatenate(xvs), kv, bv, g)
+                bounds = np.cumsum([0] + sizes)
+                want_blocks = [want_x[a:b] if need else None for a, b, need in zip(bounds, bounds[1:], needs)]
+                assert_same_bits((out, *grads_x, grad_k, grad_b), (want_out, *want_blocks, want_k, want_b))
+
+
+def test_conv2d_block_that_needs_no_gradient_gets_none():
+    rng = np.random.default_rng(75)
+    xvs = [rng.standard_normal((1, 4, 5)), rng.standard_normal((2, 4, 5))]
+    kv, g = rng.standard_normal((3, 3, 3, 3)), rng.standard_normal((3, 4, 5))
+    _, want_x, want_k, _ = per_tap_conv2d(np.concatenate(xvs), kv, None, g)
+    _, (grad_map, grad_h), _, _ = block_conv2d_with_grads(xvs, [False, True], kv, None, g)
+    assert grad_map is None and np.array_equal(grad_h, want_x[1:])
+    _, grads_x, grad_k, _ = block_conv2d_with_grads(xvs, [False, False], kv, None, g)
+    assert grads_x == (None, None) and np.array_equal(grad_k, want_k)
+
+
+@pytest.mark.parametrize("blocks", [
+    [],                                       # no block
+    [(1, 4, 5), (1, 4, 4)],                   # H x W differ
+    [(1, 4, 5), (1, 5, 5)],
+    [(1, 4, 5), (2, 4, 5)],                   # channels add up to 3, not the kernel's 2
+    [(1, 4, 5)],
+    [(1, 4, 5), (4, 5)],                      # a block that is not [C, H, W]
+])
+def test_conv2d_rejects_bad_block_lists(blocks):
+    with pytest.raises(ShapeError):
+        conv2d([constant(np.zeros(shape)) for shape in blocks], constant(np.zeros((3, 2, 3, 3))))
+
+
+def test_conv2d_over_two_blocks_holds_only_its_output():
+    rng = np.random.default_rng(42)
+    xv, hv, kv = rng.standard_normal((8, 32, 32)), rng.standard_normal((8, 32, 32)), rng.standard_normal((16, 16, 3, 3))
+    x, hidden, k = parameter(xv), parameter(hv), parameter(kv)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = conv2d([x, hidden], k)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < out.data.nbytes + 16 * 1024  # a concatenated [x; h] alone is 131,072 B
+    g = rng.standard_normal(out.shape)
+    backward(tsum(hadamard(out, constant(g))))
+    _, want_x, want_k, _ = per_tap_conv2d(np.concatenate([xv, hv]), kv, None, g)
+    assert_same_bits((x.grad, hidden.grad, k.grad), (want_x[:8], want_x[8:], want_k))
+
+
 def test_pointwise_values():
     assert sigmoid(constant(0.0)).item() == 0.5
     assert tanh(constant(0.0)).item() == 0.0
@@ -422,6 +491,18 @@ def test_grad_check_concat_slice():
     assert concat0([constant(np.zeros((2, 1))), constant(np.ones((2, 3)))], axis=-1).shape == (2, 4)
     with pytest.raises(ShapeError):
         concat0([constant(np.zeros((2, 1))), constant(np.ones((3, 1)))], axis=1)
+
+
+@pytest.mark.parametrize("tensors, axis", [([], 0), ([np.zeros(2)], 1), ([np.zeros((2, 3))], -3), ([np.zeros(())], 0)])
+def test_concat0_of_nothing_or_along_a_missing_axis_raises_shape_error(tensors, axis):
+    with pytest.raises(ShapeError):
+        concat0([constant(t) for t in tensors], axis=axis)
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 4), (3, 3), (7, -1)])
+def test_reshape_to_another_size_raises_shape_error(shape):
+    with pytest.raises(ShapeError):
+        reshape(constant(np.zeros((2, 3))), shape)
 
 
 @pytest.mark.parametrize("axis", [1, -1, -2])

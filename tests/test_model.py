@@ -304,7 +304,30 @@ def layer_step_nodes(grid: GridSpec, hidden: int) -> int:
 
 def test_layer_step_node_count_independent_of_shape():
     counts = {layer_step_nodes(grid, hidden) for grid in (GridSpec(8, 8), GridSpec(13, 5)) for hidden in (2, 5)}
-    assert counts == {4}  # concat [x; h], one gate convolution, then c and h
+    assert counts == {3}  # one gate convolution over the blocks [x, h], then c and h
+
+
+@pytest.mark.parametrize("entry", ["rollout", "train_step"])
+def test_only_kernels_are_concatenated_whatever_the_length(monkeypatch, entry):
+    concat0, calls = ad.concat0, []
+    monkeypatch.setattr(ad, "concat0", lambda *args, **kw: calls.append(args) or concat0(*args, **kw))
+    counts = set()
+    for n_fix in (4, 8):
+        grid = GridSpec(8, 6)
+        mcfg = ModelConfig(grid=grid, layers=2, hidden_channels=3, n_fixations=n_fix, sigma=1.0, feature_channels=2)
+        if entry == "rollout":
+            model = ScanpathModel.create(mcfg, np.random.default_rng(0))
+            feat = model.feature_stack(image=np.random.default_rng(1).random((6, 8)))
+            calls.clear()
+            model.rollout(feat, np.random.default_rng(2))
+        else:
+            prepared = preprocess(synth_dataset(1, 3, 1, grid, np.random.default_rng(3)), grid, n_fix=n_fix, sigma=1.0)
+            cfg = TrainConfig(model=mcfg, loss=LossConfig(sigma=1.0), seed=4)
+            state = init_state(cfg)
+            calls.clear()
+            train_step(prepared[0], state, cfg)
+        counts.add(len(calls))
+    assert counts == {2}  # layer 0's kernel columns for [features; coords] and for [map; h], once per rollout
 
 
 def test_tspm_head_contracts():

@@ -4,8 +4,12 @@ A change to how the model computes its steps (fused, hoisted or skipped
 convolutions) may move maps and losses by rounding, but must give the same
 scanpaths from the same seeds and the same losses to 1e-12. The values below
 were produced by the code before layer 0's constant channels were hoisted out
-of the time loop.
+of the time loop; the first step's gradient norms, by the code before conv2d
+read its input as channel blocks. The loss is computed before backward(), so
+only the gradient norm sees a change to a VJP.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -40,6 +44,8 @@ EXPECTED_PATHS = {
 
 # first train_step loss, teacher-forced and self-fed
 EXPECTED_LOSS = {True: 23.85362740071605, False: 23.857613971171126}
+# global gradient norm over every parameter after that step's backward()
+EXPECTED_GRAD_NORM = {True: 7.95248781098739, False: 7.924850309081578}
 
 
 @pytest.mark.parametrize("source", list(EXPECTED_PATHS))
@@ -64,3 +70,15 @@ def test_seeded_train_step_gives_the_pinned_loss(teacher_forcing):
     cfg = TrainConfig(model=mcfg, loss=LossConfig(gamma=0.3, sigma=1.0), seed=3, teacher_forcing=teacher_forcing)
     loss = train_step(prepared[0], init_state(cfg), cfg)
     assert abs(loss - EXPECTED_LOSS[teacher_forcing]) <= 1e-12 * EXPECTED_LOSS[teacher_forcing]
+
+
+@pytest.mark.parametrize("teacher_forcing", [True, False])
+def test_seeded_train_step_gives_the_pinned_gradient_norm(teacher_forcing):
+    grid = GridSpec(10, 7)
+    prepared = preprocess(synth_dataset(1, 4, 1, grid, np.random.default_rng(42)), grid, n_fix=4, sigma=1.0)
+    mcfg = ModelConfig(grid=grid, layers=2, hidden_channels=3, n_fixations=4, sigma=1.0, feature_channels=2)
+    cfg = TrainConfig(model=mcfg, loss=LossConfig(gamma=0.3, sigma=1.0), seed=3, teacher_forcing=teacher_forcing)
+    state = init_state(cfg)
+    train_step(prepared[0], state, cfg)
+    norm = math.sqrt(sum(float(np.sum(t.grad ** 2)) for _, t in state.model.parameters()))
+    assert abs(norm - EXPECTED_GRAD_NORM[teacher_forcing]) <= 1e-12 * EXPECTED_GRAD_NORM[teacher_forcing]
