@@ -1,9 +1,10 @@
 """Minimal reverse-mode automatic differentiation over dense float64 tensors.
 
 Only the primitives the recurrent model and the KL/soft-DTW loss need are
-implemented: elementwise arithmetic, gate nonlinearities, the ConvLSTM cell,
-same-padded 2-D cross-correlation, a full-map softmax and the Bayesian weight
-draw. `node` also records ops whose forward pass and VJP are written elsewhere,
+implemented: elementwise arithmetic, gate nonlinearities, same-padded 2-D
+cross-correlation, the ConvLSTM cell (alone, or fused with its gate
+convolution into one layer step of two nodes), a full-map softmax and the
+Bayesian weight draw. `node` also records ops whose forward pass and VJP are written elsewhere,
 such as the fused soft-DTW loss in `losses`. Everything runs in double
 precision; graphs are built per forward pass and freed with it.
 """
@@ -116,13 +117,14 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
     return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _gate_sigmoid(x: np.ndarray) -> np.ndarray:
+def _gate_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic as 0.5 + 0.5 * tanh(x / 2): one transcendental and nothing to overflow.
 
     Within 2.3e-16 of the exact logistic everywhere, but only absolutely: for
     very negative x it reads 0 where the logistic is a tiny positive number.
+    Written into `out` when given (which may be x itself).
     """
-    y = np.tanh(0.5 * x)
+    y = np.tanh(np.multiply(x, 0.5, out=out), out=out)
     y *= 0.5
     y += 0.5
     return y
@@ -232,40 +234,6 @@ def map_softmax(a: Tensor) -> Tensor:
     return node(y, (a,), lambda g: (y * (g - float((g * y).sum())),))
 
 
-def lstm_cell(pre: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-    """ConvLSTM cell update (Shi et al. 2015) from stacked gate pre-activations.
-
-    pre: [4 * hidden, ...], the rows of gates i, f, o and g in that order;
-    c_prev: [hidden, ...]. Returns (h, c) with c = f * c_prev + i * g and
-    h = o * tanh(c), where g is a tanh of its rows and i, f and o are sigmoids
-    of theirs, each computed as 0.5 + 0.5 * tanh(x / 2) (`_gate_sigmoid`).
-    c is one node on (pre, c_prev) and h one node on (pre, c).
-    """
-    n = c_prev.data.shape[0]
-    if pre.data.shape != (4 * n, *c_prev.data.shape[1:]):
-        raise ShapeError(f"lstm_cell: pre-activations {pre.data.shape} vs cell state {c_prev.data.shape}")
-    ifo = _gate_sigmoid(pre.data[:3 * n])
-    i, f, o = ifo[:n], ifo[n:2 * n], ifo[2 * n:]
-    g = np.tanh(pre.data[3 * n:])
-    c_val = f * c_prev.data + i * g
-    tc = np.tanh(c_val)
-
-    def c_vjp(gc):
-        gpre = np.zeros_like(pre.data)
-        gpre[:n] = gc * g * i * (1.0 - i)
-        gpre[n:2 * n] = gc * c_prev.data * f * (1.0 - f)
-        gpre[3 * n:] = gc * i * (1.0 - g * g)
-        return (gpre, gc * f)
-
-    def h_vjp(gh):
-        gpre = np.zeros_like(pre.data)
-        gpre[2 * n:3 * n] = gh * tc * o * (1.0 - o)
-        return (gpre, gh * o * (1.0 - tc * tc))
-
-    c = node(c_val, (pre, c_prev), c_vjp)
-    return node(o * tc, (pre, c), h_vjp), c
-
-
 # ---------------------------------------------------------------------------
 # convolution
 
@@ -306,40 +274,25 @@ def _patches(blocks, k: int) -> np.ndarray:
     return cols.reshape(c * k * k, h * w)
 
 
-def conv2d(x, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Same-padded 2-D cross-correlation.
-
-    x: [C_in, H, W], or a list of [C_j, H, W] blocks read as their channel
-    concatenation (no concatenated copy is made); kernel: [C_out, C_in, k, k]
-    with k odd; bias: [C_out], a per-pixel [C_out, H, W] (whose gradient is
-    the output's own) or None. Spatial size is preserved with zero padding.
-
-    Both directions run on `_patches`' zero-margined flat layout: the forward
-    unfolds it; the VJP writes Kᵀ·g into the interior of one such buffer by
-    one GEMM over all channels, then folds each block that needs a gradient
-    by adding its k² shifted windows in (di, dj) order, the order of a per-tap
-    col2im. A block that needs none gets None.
-
-    The node keeps no im2col matrix: the VJP rebuilds it from the blocks' data
-    and reads kernel.data when backward() runs, so neither may be changed in
-    place between this call and backward().
-    """
+def _conv(x, kernel: Tensor, bias: Tensor | None, op: str):
+    """conv2d's forward pass over checked arguments: (output, parents, VJP), the VJP mapping the output's gradient
+    to one gradient (or None) per parent."""
     blocks = [x] if isinstance(x, Tensor) else list(x)
     datas, kd = [b.data for b in blocks], kernel.data
     if not datas:
-        raise ShapeError("conv2d: no input blocks")
+        raise ShapeError(f"{op}: no input blocks")
     if kd.ndim != 4 or any(d.ndim != 3 for d in datas):
-        raise ShapeError(f"conv2d: input ndims {[d.ndim for d in datas]}, kernel ndim {kd.ndim}")
+        raise ShapeError(f"{op}: input ndims {[d.ndim for d in datas]}, kernel ndim {kd.ndim}")
     c_out, c_in, k, kw = kd.shape
     if k != kw or k % 2 == 0:
-        raise ShapeError(f"conv2d: kernel must be square with odd size, got {k}x{kw}")
+        raise ShapeError(f"{op}: kernel must be square with odd size, got {k}x{kw}")
     _, h, w = datas[0].shape
     if any(d.shape[1:] != (h, w) for d in datas):
-        raise ShapeError(f"conv2d: input blocks differ in H x W: {[d.shape[1:] for d in datas]}")
+        raise ShapeError(f"{op}: input blocks differ in H x W: {[d.shape[1:] for d in datas]}")
     if sum(len(d) for d in datas) != c_in:
-        raise ShapeError(f"conv2d: input has {sum(len(d) for d in datas)} channels, kernel expects {c_in}")
+        raise ShapeError(f"{op}: input has {sum(len(d) for d in datas)} channels, kernel expects {c_in}")
     if bias is not None and bias.data.shape not in ((c_out,), (c_out, h, w)):
-        raise ShapeError(f"conv2d: bias shape {bias.data.shape} is neither ({c_out},) nor {(c_out, h, w)}")
+        raise ShapeError(f"{op}: bias shape {bias.data.shape} is neither ({c_out},) nor {(c_out, h, w)}")
 
     k2 = kd.reshape(c_out, -1)
     out = (k2 @ _patches(datas, k)).reshape(c_out, h, w)
@@ -355,7 +308,8 @@ def conv2d(x, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
             m = p * (w + 1)
             taps = np.empty((c_in * k * k, 2 * m + hw))
             taps[:, :m] = taps[:, m + hw:] = 0.0
-            np.matmul(k2.T, gm, out=taps[:, m:m + hw])
+            # with one output channel Kᵀ·g is an outer product: no sums, so the broadcast product has its bits
+            (np.multiply if c_out == 1 else np.matmul)(k2.T, gm, out=taps[:, m:m + hw])
             taps = taps.reshape(c_in, k, k, -1)
             _zero_wrapped(taps[..., m:m + hw].reshape(c_in, k, k, h, w))
             c0 = 0
@@ -374,8 +328,87 @@ def conv2d(x, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
             return (*grads_x, grad_k)
         return (*grads_x, grad_k, g if bias.data.ndim == 3 else g.sum(axis=(1, 2)))
 
-    parents = (*blocks, kernel) if bias is None else (*blocks, kernel, bias)
-    return node(out, parents, vjp)
+    return out, ((*blocks, kernel) if bias is None else (*blocks, kernel, bias)), vjp
+
+
+def conv2d(x, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Same-padded 2-D cross-correlation.
+
+    x: [C_in, H, W], or a list of [C_j, H, W] blocks read as their channel
+    concatenation (no concatenated copy is made); kernel: [C_out, C_in, k, k]
+    with k odd; bias: [C_out], a per-pixel [C_out, H, W] (whose gradient is
+    the output's own) or None. Spatial size is preserved with zero padding.
+
+    Both directions run on `_patches`' zero-margined flat layout: the forward
+    unfolds it; the VJP writes Kᵀ·g into the interior of one such buffer by
+    one GEMM over all channels, then folds each block that needs a gradient
+    by adding its k² shifted windows in (di, dj) order, the order of a per-tap
+    col2im. A block that needs none gets None.
+
+    The node keeps no im2col matrix: the VJP rebuilds it from the blocks' data
+    and reads kernel.data when backward() runs, so neither may be changed in
+    place between this call and backward().
+    """
+    return node(*_conv(x, kernel, bias, "conv2d"))
+
+
+def _cell(pre: np.ndarray, act: np.ndarray, c_prev: Tensor, parents, pre_vjp, op: str) -> tuple[Tensor, Tensor]:
+    """The ConvLSTM cell update on gate pre-activations `pre`, activated into `act` (which may be pre itself).
+
+    c is one node on (*parents, c_prev) and h one node on c alone. h's VJP writes the o rows of pre's gradient
+    into a new array and hands it to c's, which runs after it (c is h's only parent) and fills in the other
+    rows (into zeros when h got no gradient); it returns pre_vjp(that array) and gc * f for c_prev.
+    """
+    n = c_prev.data.shape[0]
+    if pre.shape != (4 * n, *c_prev.data.shape[1:]):
+        raise ShapeError(f"{op}: pre-activations {pre.shape} vs cell state {c_prev.data.shape}")
+    _gate_sigmoid(pre[:3 * n], out=act[:3 * n])
+    np.tanh(pre[3 * n:], out=act[3 * n:])
+    i, f, o, g = act[:n], act[n:2 * n], act[2 * n:3 * n], act[3 * n:]
+    c_val = f * c_prev.data
+    c_val += i * g
+    tc = np.tanh(c_val)
+    handed = []
+
+    def c_vjp(gc):
+        gpre = handed.pop() if handed else np.zeros_like(act)
+        np.multiply(gc * g * i, 1.0 - i, out=gpre[:n])
+        np.multiply(gc * c_prev.data * f, 1.0 - f, out=gpre[n:2 * n])
+        np.multiply(gc * i, 1.0 - g * g, out=gpre[3 * n:])
+        return (*pre_vjp(gpre), gc * f)
+
+    def h_vjp(gh):
+        gpre = np.empty_like(act)
+        np.multiply(gh * tc * o, 1.0 - o, out=gpre[2 * n:3 * n])
+        handed.append(gpre)
+        return (gh * o * (1.0 - tc * tc),)
+
+    c = node(c_val, (*parents, c_prev), c_vjp)
+    return node(o * tc, (c,), h_vjp), c
+
+
+def lstm_cell(pre: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
+    """ConvLSTM cell update (Shi et al. 2015) from stacked gate pre-activations.
+
+    pre: [4 * hidden, ...], the rows of gates i, f, o and g in that order;
+    c_prev: [hidden, ...]. Returns (h, c) with c = f * c_prev + i * g and
+    h = o * tanh(c), where g is a tanh of its rows and i, f and o are sigmoids
+    of theirs, each computed as 0.5 + 0.5 * tanh(x / 2) (`_gate_sigmoid`).
+    c is one node on (pre, c_prev) and h one node on c; pre is not changed.
+    """
+    return _cell(pre.data, np.empty_like(pre.data), c_prev, (pre,), lambda gpre: (gpre,), "lstm_cell")
+
+
+def convlstm_cell(x, kernel: Tensor, bias: Tensor | None, c_prev: Tensor) -> tuple[Tensor, Tensor]:
+    """One ConvLSTM layer step: lstm_cell(conv2d(x, kernel, bias), c_prev) to the same bits, as two nodes.
+
+    The gate pre-activations are activated in place and never become a node: c is one node on (x's blocks,
+    kernel, bias, c_prev) whose VJP runs conv2d's on the gates' gradient, and h one node on c. The graph keeps
+    the activated gates, c, tanh(c) and h; under no_grad only c and h. As with conv2d, neither the blocks'
+    data nor kernel.data may be changed in place before backward().
+    """
+    pre, parents, conv_vjp = _conv(x, kernel, bias, "convlstm_cell")
+    return _cell(pre, pre, c_prev, parents, conv_vjp, "convlstm_cell")
 
 
 # ---------------------------------------------------------------------------

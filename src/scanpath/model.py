@@ -196,13 +196,13 @@ class ScanpathModel:
     def _run_stack(self, x: Tensor, state: list, sampled) -> Tensor:
         """One step up the layers; state holds each layer's (h, c) and is updated in place.
 
-        Each layer convolves the channel blocks [x, h_prev] as one input, without concatenating them. A layer
-        whose h is None (the zero state) convolves its input alone, so its kernel holds the input-side columns.
+        Each layer is one `ad.convlstm_cell`: the gate convolution of the channel blocks [x, h_prev], read as one
+        input without concatenating them, fused with the cell update into two graph nodes. A layer whose h is
+        None (the zero state) convolves its input alone, so its kernel holds the input-side columns.
         """
         for l, (kernel, bias) in enumerate(sampled):
             h_prev, c_prev = state[l]
-            x_in = x if h_prev is None else [x, h_prev]
-            x, c = ad.lstm_cell(ad.conv2d(x_in, kernel, bias), c_prev)
+            x, c = ad.convlstm_cell(x if h_prev is None else [x, h_prev], kernel, bias, c_prev)
             state[l] = (x, c)
         return x
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 
@@ -15,6 +16,7 @@ from scanpath.autodiff import (
     concat0,
     constant,
     conv2d,
+    convlstm_cell,
     grad_check,
     hadamard,
     lstm_cell,
@@ -288,6 +290,93 @@ def test_conv2d_over_two_blocks_holds_only_its_output():
     backward(tsum(hadamard(out, constant(g))))
     _, want_x, want_k, _ = per_tap_conv2d(np.concatenate([xv, hv]), kv, None, g)
     assert_same_bits((x.grad, hidden.grad, k.grad), (want_x[:8], want_x[8:], want_k))
+
+
+@pytest.mark.parametrize("with_bias", [False, True])
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv2d_with_one_output_channel_equals_per_tap_oracle(k, with_bias):
+    rng = np.random.default_rng(60 + k)
+    for h, w in ((1, 1), (2, 5), (9, 4)):
+        xv = rng.standard_normal((5, h, w))
+        kv = rng.standard_normal((1, 5, k, k))
+        bv = rng.standard_normal(1) if with_bias else None
+        g = rng.standard_normal((1, h, w))
+        assert_same_bits(conv2d_with_grads(xv, kv, bv, g), per_tap_conv2d(xv, kv, bv, g))
+
+
+def layer_step_with_grads(fused, single, xvs, needs, kv, bv, cv, roots, rng_seed):
+    """(h, c, then the gradients of each block, the kernel, the bias and c_prev) of one ConvLSTM layer step,
+    as convlstm_cell or as lstm_cell(conv2d(...)), with backward() from the roots among "h" and "c".
+
+    Each block of xvs is a parameter where needs says so; a single block is passed as a tensor, not a list."""
+    xs = [parameter(v) if need else constant(v) for v, need in zip(xvs, needs)]
+    x = xs[0] if single else xs
+    k, b, c_prev = parameter(kv), parameter(bv), parameter(cv)
+    h, c = convlstm_cell(x, k, b, c_prev) if fused else lstm_cell(conv2d(x, k, b), c_prev)
+    weights = np.random.default_rng(rng_seed)
+    terms = [tsum(hadamard(t, constant(weights.standard_normal(t.shape)))) for t in (h, c)]
+    backward(terms[0] if roots == "h" else terms[1] if roots == "c" else ad.add(*terms))
+    return h.data, c.data, *(t.grad for t in xs), k.grad, b.grad, c_prev.grad
+
+
+@pytest.mark.parametrize("roots", ["h", "c", "both"])
+@pytest.mark.parametrize("bias", ["channel", "pixel"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_convlstm_cell_equals_lstm_cell_of_conv2d(k, bias, roots):
+    rng = np.random.default_rng(80 + k)
+    for h, w in ((1, 1), (2, 5), (6, 4)):
+        for n in (1, 3):
+            for sizes in ([4], [2, n], list(rng.integers(1, 4, size=rng.integers(1, 4)))):
+                single = len(sizes) == 1 and rng.integers(2) == 1  # one tensor, as at the t = 0 step
+                needs = [bool(v) for v in rng.integers(0, 2, size=len(sizes))]
+                xvs = [rng.standard_normal((s, h, w)) for s in sizes]
+                kv = rng.standard_normal((4 * n, sum(sizes), k, k))
+                bv = rng.standard_normal(4 * n) if bias == "channel" else rng.standard_normal((4 * n, h, w))
+                cv = rng.standard_normal((n, h, w))
+                args = (single, xvs, needs, kv, bv, cv, roots, int(rng.integers(1 << 30)))
+                got, want = layer_step_with_grads(True, *args), layer_step_with_grads(False, *args)
+                assert_same_bits(got, want)
+
+
+def test_convlstm_cell_grad_check_and_shape_errors():
+    rng = np.random.default_rng(90)
+    xv, hv = rng.uniform(-1, 1, (2, 3, 4)), rng.uniform(-1, 1, (2, 3, 4))
+    kv, bv, cv = rng.uniform(-1, 1, (8, 4, 3, 3)), rng.uniform(-1, 1, 8), rng.uniform(-1, 1, (2, 3, 4))
+    wh, wc = constant(rng.standard_normal((2, 3, 4))), constant(rng.standard_normal((2, 3, 4)))
+
+    def loss(x, hidden, kernel, bias, c_prev):
+        h, c = convlstm_cell([x, hidden], kernel, bias, c_prev)
+        return ad.add(tsum(hadamard(h, wh)), tsum(hadamard(c, wc)))
+
+    values = [xv, hv, kv, bv, cv]
+    for j in range(len(values)):
+        def f(t, j=j):
+            return loss(*[t if i == j else constant(v) for i, v in enumerate(values)])
+        assert grad_check(f, parameter(values[j].copy()), h=1e-5) < 1e-6
+    with pytest.raises(ShapeError):
+        convlstm_cell([constant(xv), constant(hv)], constant(kv[:7]), constant(bv[:7]), constant(cv))
+    with pytest.raises(ShapeError):
+        convlstm_cell(constant(xv), constant(kv), constant(bv), constant(cv))  # 2 channels, kernel expects 4
+
+
+def test_convlstm_cell_holds_gates_c_tanh_c_and_h_and_under_no_grad_only_c_and_h():
+    rng = np.random.default_rng(91)
+    n, hw = 8, 32 * 32
+    x, hidden = parameter(rng.standard_normal((5, 32, 32))), parameter(rng.standard_normal((n, 32, 32)))
+    k, b = parameter(0.1 * rng.standard_normal((4 * n, 5 + n, 3, 3))), parameter(rng.standard_normal(4 * n))
+    c_prev = parameter(rng.standard_normal((n, 32, 32)))
+    for grad, bound in ((True, 7 * n * hw * 8), (False, 2 * n * hw * 8)):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with contextlib.nullcontext() if grad else ad.no_grad():
+                out = convlstm_cell([x, hidden], k, b, c_prev)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # lstm_cell(conv2d(...)) holds 11n maps: conv2d's output, the activated gates, c, tanh(c) and h
+        assert held < bound + 16 * 1024
+        del out
 
 
 def test_pointwise_values():

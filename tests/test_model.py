@@ -304,7 +304,7 @@ def layer_step_nodes(grid: GridSpec, hidden: int) -> int:
 
 def test_layer_step_node_count_independent_of_shape():
     counts = {layer_step_nodes(grid, hidden) for grid in (GridSpec(8, 8), GridSpec(13, 5)) for hidden in (2, 5)}
-    assert counts == {3}  # one gate convolution over the blocks [x, h], then c and h
+    assert counts == {2}  # c, fused with the gate convolution over the blocks [x, h], and h
 
 
 @pytest.mark.parametrize("entry", ["rollout", "train_step"])
