@@ -6,7 +6,8 @@ cross-correlation, the ConvLSTM cell (alone, or fused with its gate
 convolution into one layer step of two nodes), a full-map softmax and the
 Bayesian weight draw. `node` also records ops whose forward pass and VJP are written elsewhere,
 such as the fused soft-DTW loss in `losses`. Everything runs in double
-precision; graphs are built per forward pass and freed with it.
+precision; graphs are built per forward pass, and backward() frees each
+node's part of its graph as it walks past it.
 """
 
 from __future__ import annotations
@@ -418,15 +419,14 @@ def convlstm_cell(x, kernel: Tensor, bias: Tensor | None, c_prev: Tensor) -> tup
 def backward(loss: Tensor) -> None:
     """Populate .grad on every reachable requires_grad tensor.
 
-    The loss must be scalar. Calling backward twice on the same loss without
-    rebuilding the graph raises, because intermediate buffers are not retained
-    for reuse semantics.
+    The loss must be scalar. A graph is walked once and freed as it is walked:
+    each node is marked done, and its VJP and parent edges (with the arrays the
+    VJP keeps) are dropped as soon as the VJP has run. A later backward() that
+    reaches a done node, through the same loss or another root sharing it,
+    raises ParameterError before any .grad is written.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    if loss._done:
-        raise ParameterError("backward already ran on this graph; rebuild it or reset grads first")
-    loss._done = True
 
     topo: list[Tensor] = []
     visited: set[int] = set()
@@ -438,6 +438,8 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._done:
+            raise ParameterError("backward already ran through this graph; rebuild it first")
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -445,15 +447,17 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    # topo keeps each node's output until return: popping it too measured ~1000 more page faults per train step
     for node in reversed(topo):
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node.requires_grad and not node._parents:
+        parents, vjp = node._parents, node._vjp
+        if parents:
+            node._parents, node._vjp, node._done = (), None, True
+        elif g is not None and node.requires_grad:
             node.grad = g if node.grad is None else node.grad + g
-        if node._vjp is None:
+        if g is None or vjp is None:
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+        for parent, pg in zip(parents, vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
             pg = np.asarray(pg, dtype=np.float64).reshape(parent.data.shape)

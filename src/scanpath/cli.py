@@ -256,29 +256,37 @@ def cmd_complete(args) -> int:
 
 def cmd_evaluate(args) -> int:
     rc = _apply_overrides(load_run_config(args.config), args)
-    out = _prepare_out(args, rc, {"config": args.config, "predicted": args.predicted,
-                                  "truth": args.truth})
     predicted = load_scanpath_dataset(args.predicted).scanpaths
-    truth_ds = load_scanpath_dataset(args.truth)
-    truth = truth_ds.scanpaths
+    truth = load_scanpath_dataset(args.truth).scanpaths
+    for path, paths in ((args.predicted, predicted), (args.truth, truth)):
+        if not paths:
+            raise DataError(f"{path}: no scanpaths")
     cfg = metric_config(rc).resolved(predicted, truth)
-    report = evaluate_set(predicted, truth, cfg)
-    write_report_csv(report, out / "report.csv")
+    reports = {"report.csv": evaluate_set(predicted, truth, cfg)}  # every report is made before anything is written
     if args.baselines:
-        write_report_csv(human_baseline(truth, cfg), out / "human_baseline.csv")
+        try:
+            grid = GridSpec(int(np.ceil(cfg.image_width)), int(np.ceil(cfg.image_height)))
+        except ParameterError as exc:
+            if rc.image_width and rc.image_height:
+                raise
+            raise DataError(f"random baseline on the image size inferred from the data: {exc}") from None
+        reports["human_baseline.csv"] = human_baseline(truth, cfg)
         by_image = group_by_image(predicted)
         # the virtual observers' spread: the human baseline's pairwise report over the predicted paths
         spread = [s for paths in by_image.values() if len(paths) >= 2 for s in paths]
         if spread:
-            write_report_csv(human_baseline(spread, cfg), out / "model_spread.csv")
+            reports["model_spread.csv"] = human_baseline(spread, cfg)
         else:
             print("model_spread.csv not written: no image has two or more predicted scanpaths", file=sys.stderr)
         rng = np.random.default_rng(rc.seed)
-        grid = GridSpec(int(np.ceil(cfg.image_width)), int(np.ceil(cfg.image_height)))
         rand = []
         for image_id, paths in by_image.items():
             rand.extend(random_baseline(grid, rc.n_fixations, len(paths), rng, image_id=image_id))
-        write_report_csv(evaluate_set(rand, truth, cfg), out / "random_baseline.csv")
+        reports["random_baseline.csv"] = evaluate_set(rand, truth, cfg)
+    out = _prepare_out(args, rc, {"config": args.config, "predicted": args.predicted,
+                                  "truth": args.truth})
+    for name, report in reports.items():
+        write_report_csv(report, out / name)
     print(f"wrote {out / 'report.csv'}")
     return 0
 

@@ -259,10 +259,11 @@ def kl_dtw_loss(pred_maps, truth, cfg: LossConfig, grid: GridSpec | None = None)
     reg_slope = np.where(kl_c >= REG_KL_FLOOR, -reg / floored, 0.0)  # d reg / d kl_c
     by_length: dict[int, list] = {}
     for s in spat:
-        by_length.setdefault(s.n, []).append(s.log_values)
-    log_qs = [np.stack(group) for group in by_length.values()]  # [S_m, M, pixels]
+        by_length.setdefault(s.n, []).append([g.values for g in s.maps])
+    log_qs = [np.array(group).reshape(len(group), n, -1) for n, group in by_length.items()]  # [S_m, M, pixels]
     weights, total = [], 0.0
     for log_q in log_qs:
+        np.log(log_q, out=log_q)  # the truth maps' logs, taken per call: nothing keeps them between calls
         D = selfs[None, :, None] - np.einsum("ik,sjk->sij", P, log_q, optimize=True) + reg[None, :, None]
         R, W = _soft_dtw_dp(D, cfg.gamma)
         weights.append(W)

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -431,6 +432,32 @@ def test_backward_errors_and_disconnected():
     assert np.array_equal(grads[1], np.zeros(2))
 
 
+def test_backward_frees_a_layer_steps_h_and_c_while_the_loss_is_still_held():
+    rng = np.random.default_rng(8)
+    x, c_prev = parameter(rng.normal(size=(2, 5, 4))), parameter(rng.normal(size=(3, 5, 4)))
+    kernel, bias = parameter(rng.normal(size=(12, 2, 3, 3))), parameter(rng.normal(size=12))
+    h, c = convlstm_cell(x, kernel, bias, c_prev)
+    loss = ad.add(tsum(hadamard(h, constant(rng.normal(size=h.shape)))), tsum(c))
+    refs = [weakref.ref(h.data), weakref.ref(c.data)]
+    del h, c
+    assert all(r() is not None for r in refs)  # the graph holds them until backward() has walked it
+    backward(loss)
+    assert all(r() is None for r in refs)
+    assert math.isfinite(loss.item()) and all(p.grad is not None for p in (x, c_prev, kernel, bias))
+
+
+def test_second_backward_through_a_shared_node_raises_before_writing_any_grad():
+    x, w = parameter(np.array([1.0, -2.0, 0.5])), parameter(np.array([0.3, 0.2, -1.0]))
+    shared = hadamard(x, w)
+    first, second = tsum(shared), tsum(ad.add(tanh(shared), x))
+    backward(first)
+    want = [x.grad.tobytes(), w.grad.tobytes()]
+    for root in (second, first):
+        with pytest.raises(ParameterError):
+            backward(root)
+        assert [x.grad.tobytes(), w.grad.tobytes()] == want
+
+
 def test_no_grad_blocks_recording():
     x = parameter(np.ones(3))
     with ad.no_grad():
@@ -644,8 +671,9 @@ def test_sample_bayes_kernel_matches_softplus_graph_bit_for_bit():
     def run(draw):
         params = [parameter(v.copy()) for v in values]
         k, b = draw(*params)
+        edges = [(len(d._parents), any(p._parents for p in d._parents)) for d in (k, b)]  # backward() frees them
         backward(ad.add(tsum(hadamard(k, weight)), tsum(b)))
-        return k, b, [t.grad.tobytes() for t in params]
+        return k, b, [t.grad.tobytes() for t in params], edges
 
     def fused(mu, rho, bias_mu, bias_rho):
         return sample_bayes_kernel(BayesConvParams(mu, rho, bias_mu, bias_rho), np.random.default_rng(1))
@@ -655,12 +683,11 @@ def test_sample_bayes_kernel_matches_softplus_graph_bit_for_bit():
         k = ad.add(mu, hadamard(softplus(rho), constant(draws.standard_normal(mu.shape))))
         return k, ad.add(bias_mu, hadamard(softplus(bias_rho), constant(draws.standard_normal(bias_mu.shape))))
 
-    k, b, grads = run(fused)
-    ref_k, ref_b, ref_grads = run(unfused)
+    k, b, grads, edges = run(fused)
+    ref_k, ref_b, ref_grads, _ = run(unfused)
     assert k.data.tobytes() == ref_k.data.tobytes() and b.data.tobytes() == ref_b.data.tobytes()
     assert grads == ref_grads
-    for draw in (k, b):  # one node per draw, straight on the posterior's leaves
-        assert len(draw._parents) == 2 and not any(p._parents for p in draw._parents)
+    assert edges == [(2, False), (2, False)]  # one node per draw, straight on the posterior's leaves
 
 
 def test_sample_bayes_kernel_monte_carlo():

@@ -208,6 +208,38 @@ def test_evaluate_exit_codes_for_bad_config_and_truth(tmp_path, workspace):
                  "--predicted", str(truth), "--truth", str(latin1)]) == 2
 
 
+# per bad evaluate input: the stderr it must give
+BAD_EVALUATE_ERRORS = {
+    "missing_predicted": "No such file or directory",
+    "empty_predicted": "no scanpaths",
+    "empty_truth": "no scanpaths",
+    "image_without_truth": "no ground truth for image 'elsewhere'",
+    "subpixel_truth_with_baselines": "grid must contain at least 4 pixels",
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_EVALUATE_ERRORS))
+def test_bad_evaluate_input_exits_2_before_any_output(tmp_path, workspace, case, capsys):
+    truth = load_scanpath_dataset(workspace["data"] / "dataset.csv").scanpaths
+    predicted, cfg, extra = tmp_path / "pred.csv", workspace["cfg"], []
+    if case == "image_without_truth":
+        truth = truth + [replace(truth[0], image_id="elsewhere")]
+    elif case == "subpixel_truth_with_baselines":  # the inferred image size is 1 x 1
+        truth = [replace(s, points=tuple(replace(p, x=p.x / 32, y=p.y / 32) for p in s.points)) for s in truth]
+        cfg, extra = write_cfg(tmp_path / "infer.cfg", image_width=0, image_height=0), ["--baselines"]
+    save_scanpath_csv([] if case == "empty_predicted" else truth, predicted)
+    save_scanpath_csv([] if case == "empty_truth" else [s for s in truth if s.image_id != "elsewhere"],
+                      tmp_path / "truth.csv")
+    if case == "missing_predicted":
+        predicted = tmp_path / "missing.csv"
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg), "--out", str(out), "--predicted", str(predicted),
+                 "--truth", str(tmp_path / "truth.csv"), *extra]) == 2
+    assert BAD_EVALUATE_ERRORS[case] in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_complete_contract_and_errors(tmp_path, workspace):
     cfg, ckpt, data = workspace["cfg"], workspace["ckpt"], workspace["data"]
     out = tmp_path / "comp"

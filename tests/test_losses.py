@@ -535,6 +535,46 @@ def test_fused_loss_matches_per_cell_oracle(lam, lengths):
     assert abs(kl_dtw_loss(maps, truth, cfg, grid) - want) <= 1e-12 * abs(want)
 
 
+def per_scanpath_log_kl_dtw_loss(preds, truth, cfg, grid):
+    """kl_dtw_loss's arithmetic with each scanpath's log maps taken on their own and kept, then stacked per length."""
+    P = np.stack([p.data for p in preds]).reshape(len(preds), -1)
+    log_p = np.log(P)
+    selfs = (P * log_p).sum(axis=1)
+    lambdas = np.array([lambda_schedule(i, cfg) for i in range(len(preds))])
+    log_gc = np.log(CenterPrior.for_grid(grid, cfg.sigma).g_c.values).reshape(-1)
+    kl_c = selfs - P @ log_gc
+    floored = np.maximum(kl_c, 1e-6)
+    reg = lambdas / floored
+    reg_slope = np.where(kl_c >= 1e-6, -reg / floored, 0.0)
+    by_length = {}
+    for s in truth:
+        by_length.setdefault(s.n, []).append(np.log(np.stack([m.values.reshape(-1) for m in s.maps])))
+    total, grad, row_weight = 0.0, np.zeros_like(P), np.zeros(len(preds))
+    for log_q in (np.stack(group) for group in by_length.values()):
+        R, W = _soft_dtw_dp(selfs[None, :, None] - np.einsum("ik,sjk->sij", P, log_q, optimize=True)
+                            + reg[None, :, None], cfg.gamma)
+        total += R.sum()
+        E = _soft_dtw_alignment(W) * (1.0 / len(truth))
+        row_weight += E.sum(axis=(0, 2))
+        grad -= np.einsum("sij,sjk->ik", E, log_q, optimize=True)
+    grad += row_weight[:, None] * (log_p + 1.0) + (row_weight * reg_slope)[:, None] * (log_p + 1.0 - log_gc)
+    return ad.node(np.asarray(total / len(truth)), preds, lambda g: tuple(r.reshape(grid.height, -1) for r in grad))
+
+
+@pytest.mark.parametrize("width, height", [(32, 32), (7, 5)])
+def test_kl_dtw_loss_equals_per_scanpath_log_stacking_bit_for_bit(width, height):
+    grid, rng = GridSpec(width, height), np.random.default_rng(width)
+    truth = [spatialize(Scanpath(tuple(GazePoint(rng.uniform(0, width - 0.1), rng.uniform(0, height - 0.1), i)
+                                       for i in range(n)), "img", f"o{k}"), grid, 1.5)
+             for k, n in enumerate((5, 3, 5, 8, 3, 3))]
+    maps = [np.exp(l) / np.exp(l).sum() for l in rng.normal(size=(6, height, width))]
+    cfg = LossConfig(gamma=0.1, lambda_base=0.05, lambda_slope=0.05, sigma=1.5)
+    want, want_grad = loss_and_grads(per_scanpath_log_kl_dtw_loss, maps, truth, cfg, grid)
+    got, got_grad = loss_and_grads(kl_dtw_loss, maps, truth, cfg, grid)
+    assert got == want and got_grad.tobytes() == want_grad.tobytes()
+    assert kl_dtw_loss(maps, truth, cfg, grid) == want
+
+
 @pytest.mark.parametrize("bad", [0.0, -1e-3])
 def test_kl_dtw_loss_rejects_nonpositive_prediction(bad):
     grid, truth, maps = train_shaped_case()

@@ -116,6 +116,16 @@ def test_gradient_reaches_every_layer():
         assert any(changed), f"no parameter changed in {group}"
 
 
+def test_spatialized_truth_holds_only_its_maps_after_train_steps():
+    prepared, cfg = toy_setup(lam=0.05)
+    state = init_state(cfg)
+    for ex in prepared * 2:
+        train_step(ex, state, cfg)
+    for ex in prepared:
+        for spat in ex.spatialized:
+            assert list(vars(spat)) == ["maps"]  # no per-scanpath cache of log maps
+
+
 def test_train_zero_steps_writes_initial_checkpoint_only(tmp_path):
     prepared, cfg = toy_setup()
     cfg = TrainConfig(model=cfg.model, loss=cfg.loss, lr=cfg.lr, max_steps=0,
