@@ -2,6 +2,10 @@
 
 Every command reads a flat key=value run config, writes a manifest and a full
 config echo into its output directory, and is deterministic given --seed.
+The keys come from the configs they feed: the grid size, ModelConfig's
+hyperparameters, LossConfig, TrainConfig's scalars and MetricConfig (image
+sizes and the recurrence radius are floats, 0 meaning inferred from the data),
+then min_scanpath_len and the input paths; config.txt lists them in that order.
 Exit codes: 0 success, 1 usage error, 2 data/format or file-system error,
 3 numerical failure.
 """
@@ -10,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import field, fields, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,48 +44,34 @@ from .errors import (
 )
 from .losses import LossConfig
 from .metrics import MetricConfig, evaluate_set, human_baseline, random_baseline, write_report_csv
-from .model import HYPER_FIELDS, ModelConfig, ScanpathModel, model_from_checkpoint
-from .training import TrainConfig, check_feature_inputs, train
+from .model import HYPER_FIELDS, ModelConfig, model_from_checkpoint
+from .training import TrainConfig, check_feature_inputs, init_state, resume_state, train
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Flat run configuration; every key can appear in the config file."""
+def _key(f):
+    """A config class's field as a run-config key: `float | None` reads as a float, and a None default is
+    written as 0 (metric_config's rule, inverted)."""
+    kind = f.type.removesuffix(" | None")
+    return f.name, kind, field(default=parse_value("0", kind) if f.default is None else f.default)
 
-    grid_width: int = 32
-    grid_height: int = 32
-    sigma: float = 2.0
-    layers: int = 2
-    hidden_channels: int = 16
-    kernel_size: int = 3
-    feature_channels: int = 4
-    feature_source: str = "trainable"
-    th: float = 0.7
-    threshold_mode: str = "relative"
-    n_fixations: int = 8
-    gamma: float = 0.1
-    lambda_base: float = 0.05
-    lambda_slope: float = 0.05
-    lr: float = 1e-4
-    max_steps: int = 2000
-    checkpoint_every: int = 500
-    seed: int = 0
-    teacher_forcing: bool = True
-    min_scanpath_len: int = 4
-    bin_cols: int = 8
-    bin_rows: int = 5
-    recurrence_radius: float = 0.0  # 0 = one tenth of the image diagonal
-    min_line: int = 2
-    tde_k: int = 3
-    image_width: int = 0  # 0 = infer from data
-    image_height: int = 0
-    dataset_csv: str = ""
-    images_dir: str = ""
-    features_dir: str = ""
 
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
+def _check_seed(rc) -> None:
+    if rc.seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {rc.seed}")
+
+
+# The keys of the configs they feed, in their order; one sigma feeds ModelConfig and LossConfig.
+_FED_KEYS = {f.name: _key(f) for f in (*HYPER_FIELDS, *fields(LossConfig), *fields(TrainConfig), *fields(MetricConfig))
+             if f.name not in ("model", "loss")}
+# Only the keys no config class holds are declared by hand: the grid (ModelConfig.grid has no default),
+# preprocess's length filter and the input paths.
+RunConfig = make_dataclass(
+    "RunConfig",
+    [("grid_width", "int", field(default=32)), ("grid_height", "int", field(default=32)), *_FED_KEYS.values(),
+     ("min_scanpath_len", "int", field(default=4)),
+     *((name, "str", field(default="")) for name in ("dataset_csv", "images_dir", "features_dir"))],
+    namespace={"__module__": __name__, "__doc__": "Flat run configuration; every key can appear in the config file.",
+               "__post_init__": _check_seed}, frozen=True)
 
 
 def load_run_config(path) -> RunConfig:
@@ -134,6 +124,11 @@ def metric_config(rc: RunConfig) -> MetricConfig:
     return MetricConfig(**values)
 
 
+def train_config(rc: RunConfig) -> TrainConfig:
+    scalars = {f.name: getattr(rc, f.name) for f in fields(TrainConfig) if f.name not in ("model", "loss")}
+    return TrainConfig(model=model_config(rc), loss=loss_config(rc), **scalars)
+
+
 def _prepare_out(args, rc: RunConfig, inputs: dict) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -182,14 +177,12 @@ def _load_dataset(rc: RunConfig, override_csv=None, model_inputs=True):
 def cmd_train(args) -> int:
     rc = _apply_overrides(load_run_config(args.config), args)
     dataset = _load_dataset(rc)
-    mcfg = model_config(rc)
-    prepared = preprocess(dataset, mcfg.grid, n_fix=rc.n_fixations, sigma=rc.sigma,
+    cfg = train_config(rc)
+    prepared = preprocess(dataset, cfg.model.grid, n_fix=rc.n_fixations, sigma=rc.sigma,
                           min_len=rc.min_scanpath_len)
-    check_feature_inputs(ScanpathModel.create(mcfg, np.random.default_rng(0)), prepared)  # before anything is written
+    # the config, the checkpoint to resume from and every feature input are checked before anything is written
+    check_feature_inputs((init_state(cfg) if args.resume is None else resume_state(args.resume, cfg)).model, prepared)
     out = _prepare_out(args, rc, {"config": args.config, "dataset": rc.dataset_csv})
-    cfg = TrainConfig(model=mcfg, loss=loss_config(rc), lr=rc.lr, max_steps=rc.max_steps,
-                      checkpoint_every=rc.checkpoint_every, seed=rc.seed,
-                      teacher_forcing=rc.teacher_forcing)
     final, log = train(prepared, cfg, out, resume_from=args.resume)
     print(f"trained {len(log)} steps; final checkpoint: {final}")
     return 0

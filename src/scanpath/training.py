@@ -59,6 +59,14 @@ def init_state(cfg: TrainConfig) -> TrainState:
     return TrainState(model=model, adam=AdamState.init(params), rng=rng)
 
 
+def resume_state(path, cfg: TrainConfig) -> TrainState:
+    """The state a checkpoint holds, checked against cfg.model; it must carry the optimizer and generator state."""
+    model, adam, step, rng = model_from_checkpoint(read_checkpoint(path), expected=cfg.model)
+    if adam is None or rng is None:
+        raise DataError(f"{path}: checkpoint carries no optimizer/rng state, cannot resume")
+    return TrainState(model=model, adam=adam, rng=rng, step=step)
+
+
 def train_step(example: PreparedExample, state: TrainState, cfg: TrainConfig) -> float:
     """One optimizer update on one image; returns the scalar loss.
 
@@ -130,18 +138,10 @@ def train(prepared: list[PreparedExample], cfg: TrainConfig, out_dir, resume_fro
     """
     if not prepared:
         raise DataError("training needs at least one prepared image")
+    state = init_state(cfg) if resume_from is None else resume_state(resume_from, cfg)
+    check_feature_inputs(state.model, prepared)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    if resume_from is not None:
-        ckpt = read_checkpoint(resume_from)
-        model, adam, step, rng = model_from_checkpoint(ckpt, expected=cfg.model)
-        if adam is None or rng is None:
-            raise DataError(f"{resume_from}: checkpoint carries no optimizer/rng state, cannot resume")
-        state = TrainState(model=model, adam=adam, rng=rng, step=step)
-    else:
-        state = init_state(cfg)
-    check_feature_inputs(state.model, prepared)
     if resume_from is None:
         write_checkpoint(out / "checkpoint_000000.spck", _checkpoint(state))
 

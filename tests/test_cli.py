@@ -197,6 +197,116 @@ def test_metric_config_zero_infers_and_rejects_other_nonpositive():
             metric_config(RunConfig(**bad))
 
 
+def _non_default(f):
+    """A value of f's type other than its default: fractional floats, False, path-like strings."""
+    if f.type == "bool":
+        return not f.default
+    if f.type == "str":
+        return f"runs/{f.name} dir/x.csv"
+    return f.default + (1 if f.type == "int" else 0.123456789)
+
+
+# RunConfig's key order before the schema was derived from the config classes
+PARENT_KEY_ORDER = (
+    "grid_width", "grid_height", "sigma", "layers", "hidden_channels", "kernel_size", "feature_channels",
+    "feature_source", "th", "threshold_mode", "n_fixations", "gamma", "lambda_base", "lambda_slope", "lr",
+    "max_steps", "checkpoint_every", "seed", "teacher_forcing", "min_scanpath_len", "bin_cols", "bin_rows",
+    "recurrence_radius", "min_line", "tde_k", "image_width", "image_height", "dataset_csv", "images_dir",
+    "features_dir",
+)
+
+
+def test_config_echo_round_trips_every_non_default_value(tmp_path):
+    rc = RunConfig(**{f.name: _non_default(f) for f in fields(RunConfig)})
+    assert all(getattr(rc, f.name) != f.default for f in fields(RunConfig))
+    assert rc.teacher_forcing is False and rc.lr % 1 != 0 and rc.images_dir.startswith("runs/")
+    cli.write_run_config(rc, tmp_path / "config.txt")
+    lines = (tmp_path / "config.txt").read_text(encoding="utf-8").splitlines()
+    assert [line.split("=", 1)[0] for line in lines] == [f.name for f in fields(RunConfig)]
+    assert load_run_config(tmp_path / "config.txt") == rc
+    # a config.txt written in the old key order reads to the same values
+    by_key = dict(line.split("=", 1) for line in lines)
+    assert set(PARENT_KEY_ORDER) == set(by_key)
+    (tmp_path / "old.txt").write_text("".join(f"{k}={by_key[k]}\n" for k in PARENT_KEY_ORDER), encoding="utf-8")
+    assert load_run_config(tmp_path / "old.txt") == rc
+
+
+def test_float_image_size_in_a_config_is_read_as_a_float(tmp_path, workspace):
+    cfg = write_cfg(tmp_path / "f.cfg", image_width=16.0, image_height=12.5)
+    rc = load_run_config(cfg)
+    mcfg = metric_config(rc)
+    assert (rc.image_width, rc.image_height) == (mcfg.image_width, mcfg.image_height) == (16.0, 12.5)
+    truth = str(workspace["data"] / "dataset.csv")
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", str(cfg), "--out", str(out), "--predicted", truth, "--truth", truth]) == 0
+    assert "image_width=16.0\nimage_height=12.5\n" in (out / "config.txt").read_text()
+
+
+def test_readme_config_loads(tmp_path):
+    """The walkthrough's config names only keys the schema has, with values it parses."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("cat > run.cfg <<EOF\n", 1)[1].split("\nEOF\n", 1)[0]
+    (tmp_path / "run.cfg").write_text(block + "\n", encoding="utf-8")
+    rc = load_run_config(tmp_path / "run.cfg")
+    assert (rc.seed, rc.lr, rc.image_width, rc.dataset_csv) == (7, 0.001, 32.0, "data/dataset.csv")
+
+
+def test_train_config_carries_every_train_scalar():
+    scalars = {"lr": 0.25, "max_steps": 7, "checkpoint_every": 3, "seed": 5, "teacher_forcing": False}
+    assert set(scalars) == {f.name for f in fields(TrainConfig)} - {"model", "loss"}
+    rc = RunConfig(**scalars, sigma=1.5, gamma=0.3)
+    cfg = cli.train_config(rc)
+    assert {name: getattr(cfg, name) for name in scalars} == scalars
+    assert cfg.model == cli.model_config(rc) and cfg.loss == cli.loss_config(rc)
+    assert cfg.model.sigma == cfg.loss.sigma == 1.5 and cfg.loss.gamma == 0.3
+
+
+# per unusable checkpoint to resume from: the stderr it must give
+BAD_RESUME_ERRORS = {
+    "missing": "No such file",
+    "mismatched": "hidden_channels: checkpoint 3 != config 4",
+    "no_optimizer_state": "no optimizer/rng state",
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RESUME_ERRORS))
+def test_train_resume_checks_the_checkpoint_before_any_output(tmp_path, workspace, case, capsys):
+    cfg, ckpt = workspace["cfg"], str(workspace["ckpt"])
+    if case == "missing":
+        ckpt = str(tmp_path / "nope.spck")
+    elif case == "mismatched":
+        cfg = write_cfg(tmp_path / "other.cfg", hidden_channels=4, dataset_csv=str(workspace["data"] / "dataset.csv"),
+                        images_dir=str(workspace["data"]))
+    else:
+        full = read_checkpoint(ckpt)
+        ckpt = str(tmp_path / "weights_only.spck")
+        write_checkpoint(ckpt, replace(full, tensors={k: v for k, v in full.tensors.items()
+                                                      if not k.startswith("adam.")}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--out", str(out), "--resume", ckpt]) == 2
+    assert BAD_RESUME_ERRORS[case] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_resume_continues_from_the_checkpoint(tmp_path, workspace):
+    cfg = write_cfg(tmp_path / "more.cfg", max_steps=6, dataset_csv=str(workspace["data"] / "dataset.csv"),
+                    images_dir=str(workspace["data"]))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out), "--resume", str(workspace["ckpt"])]) == 0
+    rows = (out / "loss_log.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["step", "5", "6"]
+
+
+def test_bad_train_scalar_is_a_usage_error_before_any_output(tmp_path, workspace, capsys):
+    cfg = write_cfg(tmp_path / "lr.cfg", lr=0.0, dataset_csv=str(workspace["data"] / "dataset.csv"),
+                    images_dir=str(workspace["data"]))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "learning rate must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_exit_codes_for_bad_config_and_truth(tmp_path, workspace):
     truth = workspace["data"] / "dataset.csv"
     args = ["--predicted", str(truth), "--truth", str(truth)]

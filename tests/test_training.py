@@ -6,7 +6,7 @@ import pytest
 from scanpath import training
 from scanpath.core import GridSpec
 from scanpath.data_io import preprocess, read_checkpoint, synth_dataset
-from scanpath.errors import NumericalError, ParameterError
+from scanpath.errors import ConfigMismatchError, NumericalError, ParameterError
 from scanpath.losses import CenterPrior, LossConfig, lambda_schedule, pairwise_cost
 from scanpath.model import ModelConfig
 from scanpath.training import TrainConfig, init_state, train, train_step
@@ -176,6 +176,17 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     for (sa, va), (sb, vb) in zip(full_log[2:], tail_log):
         assert sa == sb
         assert abs(va - vb) < 1e-9
+
+
+def test_resume_from_an_unusable_checkpoint_creates_no_output_directory(tmp_path):
+    prepared, cfg = toy_setup()
+    mid, _ = train(prepared, replace(cfg, max_steps=1), tmp_path / "part1")
+    with pytest.raises(FileNotFoundError):
+        train(prepared, cfg, tmp_path / "missing", resume_from=tmp_path / "nope.spck")
+    with pytest.raises(ConfigMismatchError):
+        train(prepared, replace(cfg, model=replace(cfg.model, hidden_channels=4)), tmp_path / "mismatched",
+              resume_from=mid)
+    assert not (tmp_path / "missing").exists() and not (tmp_path / "mismatched").exists()
 
 
 def test_crashed_run_keeps_its_log_and_resume_appends_to_it(tmp_path, monkeypatch):
