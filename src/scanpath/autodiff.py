@@ -302,7 +302,7 @@ def _conv(x, kernel: Tensor, bias: Tensor | None, op: str):
 
     def vjp(g):
         gm = g.reshape(c_out, -1)
-        grad_k = (gm @ _patches(datas, k).T).reshape(kd.shape)
+        grad_k = (_patches(datas, k) @ gm.T).T.reshape(kd.shape)  # this order sums alike at any BLAS thread count
         grads_x = [None] * len(blocks)
         if any(b.requires_grad for b in blocks):
             p, hw = k // 2, h * w

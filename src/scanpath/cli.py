@@ -45,7 +45,7 @@ from .errors import (
 from .losses import LossConfig
 from .metrics import MetricConfig, evaluate_set, human_baseline, random_baseline, write_report_csv
 from .model import HYPER_FIELDS, ModelConfig, model_from_checkpoint
-from .training import TrainConfig, check_feature_inputs, init_state, resume_state, train
+from .training import TrainConfig, check_inputs, init_state, resume_state, train
 
 
 def _key(f):
@@ -180,8 +180,9 @@ def cmd_train(args) -> int:
     cfg = train_config(rc)
     prepared = preprocess(dataset, cfg.model.grid, n_fix=rc.n_fixations, sigma=rc.sigma,
                           min_len=rc.min_scanpath_len)
-    # the config, the checkpoint to resume from and every feature input are checked before anything is written
-    check_feature_inputs((init_state(cfg) if args.resume is None else resume_state(args.resume, cfg)).model, prepared)
+    # the config, the checkpoint to resume from and every image's grid, sigma and feature input are checked before
+    # anything is written
+    check_inputs((init_state(cfg) if args.resume is None else resume_state(args.resume, cfg)).model, prepared)
     out = _prepare_out(args, rc, {"config": args.config, "dataset": rc.dataset_csv})
     final, log = train(prepared, cfg, out, resume_from=args.resume)
     print(f"trained {len(log)} steps; final checkpoint: {final}")

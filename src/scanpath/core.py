@@ -134,26 +134,38 @@ class SpatializedScanpath:
         return self.maps[0].grid
 
 
-def gaussian_map(p: GazePoint, grid: GridSpec, sigma: float) -> ProbMap:
-    """Isotropic Gaussian centered on the point, discretized per pixel.
+def gaussian_maps(xy, grid: GridSpec, sigma: float) -> np.ndarray:
+    """[K, H, W] isotropic Gaussians centered on the K (x, y) rows of xy, discretized per pixel.
 
-    The returned map is EPS-smoothed and normalized; its argmax pixel is the
-    rounded point.
+    Each map is EPS-smoothed and normalized on its own, by smooth_and_normalize's arithmetic: the EPS floor is
+    added, the map is divided by its sum, and the floor is applied again. Its argmax pixel is the rounded point.
+    Every step runs in place on the one [K, H, W] buffer: a second one costs as much as the rendering itself.
     """
     if not (math.isfinite(sigma) and sigma > 0):
         raise ParameterError(f"sigma must be positive and finite, got {sigma}")
-    if not grid.contains(p.x, p.y):
-        raise BoundsError(f"point ({p.x}, {p.y}) outside {grid.width}x{grid.height} grid")
-    xs = np.arange(grid.width, dtype=np.float64) - p.x
-    ys = np.arange(grid.height, dtype=np.float64) - p.y
-    sq = ys[:, None] ** 2 + xs[None, :] ** 2
-    raw = np.exp(-sq / (2.0 * sigma * sigma))
-    return ProbMap(smooth_and_normalize(raw), grid)
+    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    inside = (xy >= 0) & (xy < (grid.width, grid.height))
+    if not inside.all():
+        bx, by = xy[np.argmin(inside.all(axis=1))]
+        raise BoundsError(f"point ({bx}, {by}) outside {grid.width}x{grid.height} grid")
+    xs = np.arange(grid.width, dtype=np.float64) - xy[:, :1]
+    ys = np.arange(grid.height, dtype=np.float64) - xy[:, 1:]
+    v = ys[:, :, None] ** 2 + xs[:, None, :] ** 2
+    v /= -2.0 * sigma * sigma
+    np.exp(v, out=v)
+    v += EPS
+    v /= v.sum(axis=(1, 2), keepdims=True)
+    return np.maximum(v, EPS, out=v)
+
+
+def gaussian_map(p: GazePoint, grid: GridSpec, sigma: float) -> ProbMap:
+    """gaussian_maps' map for one point."""
+    return ProbMap(gaussian_maps((p.x, p.y), grid, sigma)[0], grid)
 
 
 def spatialize(s: Scanpath, grid: GridSpec, sigma: float) -> SpatializedScanpath:
     """Render every fixation of the scanpath as a Gaussian map."""
-    return SpatializedScanpath(tuple(gaussian_map(p, grid, sigma) for p in s.points))
+    return SpatializedScanpath(tuple(ProbMap(m, grid) for m in gaussian_maps(s.coords(), grid, sigma)))
 
 
 def map_argmax(m: ProbMap) -> GazePoint:

@@ -202,13 +202,20 @@ def load_scanpath_dataset(path, images_dir=None, features_dir=None) -> Dataset:
 
 @dataclass(frozen=True, eq=False)
 class PreparedExample:
-    """One image ready for training: grid-space scanpaths of fixed length."""
+    """One image ready for training: grid-space scanpaths of fixed length, with the grid and the Gaussian width
+    they were prepared for. It holds points; maps are rendered from them when asked for."""
 
     image_id: str
     scanpaths: tuple[Scanpath, ...]
-    spatialized: tuple[SpatializedScanpath, ...]
+    grid: GridSpec
+    sigma: float
     image: np.ndarray | None  # grid-resolution grayscale in [0, 1]
     features: np.ndarray | None = None  # precomputed feature tensor, for feature_source=precomputed
+
+    @property
+    def spatialized(self) -> tuple[SpatializedScanpath, ...]:
+        """Each scanpath rendered at the example's grid and sigma, anew on every access."""
+        return tuple(spatialize(s, self.grid, self.sigma) for s in self.scanpaths)
 
 
 def to_grid(s: Scanpath, width, height, grid: GridSpec) -> Scanpath:
@@ -237,11 +244,13 @@ def resample_to_grid(pixels: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def preprocess(dataset: Dataset, grid: GridSpec, n_fix: int = 8, sigma: float = 2.0,
                min_len: int = 4) -> list[PreparedExample]:
-    """Filter, align to fixed length, rescale into the grid and spatialize.
+    """Filter, align to fixed length and rescale into the grid; sigma is kept for rendering the maps.
 
     Scanpaths shorter than min_len are discarded; longer-than-n_fix paths are
     truncated and shorter ones padded by repeating the last fixation.
     """
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ParameterError(f"sigma must be positive and finite, got {sigma}")
     by_image = group_by_image(dataset.scanpaths)
     out = []
     for rec in dataset.images:
@@ -254,9 +263,8 @@ def preprocess(dataset: Dataset, grid: GridSpec, n_fix: int = 8, sigma: float = 
         if not kept:
             warnings.warn(f"image '{rec.image_id}' has no scanpath of length >= {min_len}; excluded")
             continue
-        spat = tuple(spatialize(s, grid, sigma) for s in kept)
         image = resample_to_grid(rec.pixels, grid) if rec.pixels is not None else None
-        out.append(PreparedExample(rec.image_id, tuple(kept), spat, image, rec.features))
+        out.append(PreparedExample(rec.image_id, tuple(kept), grid, sigma, image, rec.features))
     return out
 
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .core import (GazePoint, GridSpec, ProbMap, Scanpath, SpatializedScanpath, align, gaussian_map, inf_border,
-                   spatialize)
+from .core import (GazePoint, GridSpec, ProbMap, Scanpath, SpatializedScanpath, align, gaussian_map, gaussian_maps,
+                   inf_border)
 from .errors import ParameterError, ShapeError
 
 # Guard for the 1/KL regularizer when a prediction coincides with the prior.
@@ -210,16 +210,13 @@ def pairwise_cost(r_i, g_j, lam: float, prior: CenterPrior):
     return base + lam / max(denom, REG_KL_FLOOR)
 
 
-def _spatialized(truth, grid: GridSpec, sigma: float) -> list[SpatializedScanpath]:
-    out = []
-    for s in truth:
-        if isinstance(s, SpatializedScanpath):
-            out.append(s)
-        elif isinstance(s, Scanpath):
-            out.append(spatialize(s, grid, sigma))
-        else:
-            raise ParameterError(f"unsupported ground-truth entry: {type(s)!r}")
-    return out
+def _truth_stack(group, grid: GridSpec, sigma: float) -> np.ndarray:
+    """[S, M, H, W] maps of equal-length ground-truth entries, or their [S * M, H, W] when every entry is raw:
+    raw scanpaths are rendered straight into it, spatialized ones stacked as they are."""
+    if all(isinstance(s, Scanpath) for s in group):
+        return gaussian_maps(np.concatenate([s.coords() for s in group]), grid, sigma)
+    return np.array([gaussian_maps(s.coords(), grid, sigma) if isinstance(s, Scanpath) else [g.values for g in s.maps]
+                     for s in group])
 
 
 def kl_dtw_loss(pred_maps, truth, cfg: LossConfig, grid: GridSpec | None = None):
@@ -243,8 +240,13 @@ def kl_dtw_loss(pred_maps, truth, cfg: LossConfig, grid: GridSpec | None = None)
     shape = arrays[0].shape
     if grid is None:
         grid = GridSpec(width=shape[1], height=shape[0])
-    spat = _spatialized(truth, grid, cfg.sigma)
-    if any(a.shape != shape for a in arrays) or any(g.values.shape != shape for s in spat for g in s.maps):
+    by_length: dict[int, list] = {}
+    for s in truth:
+        if not isinstance(s, (Scanpath, SpatializedScanpath)):
+            raise ParameterError(f"unsupported ground-truth entry: {type(s)!r}")
+        by_length.setdefault(s.n, []).append(s)
+    if (any(a.shape != shape for a in arrays) or (grid.height, grid.width) != shape
+            or any(s.grid != grid for s in truth if isinstance(s, SpatializedScanpath))):
         raise ShapeError(f"kl_dtw_loss: every predicted and ground-truth map must have shape {shape}")
     P = np.stack(arrays).reshape(len(arrays), -1)
     if np.any(P <= 0):
@@ -257,10 +259,8 @@ def kl_dtw_loss(pred_maps, truth, cfg: LossConfig, grid: GridSpec | None = None)
     floored = np.maximum(kl_c, REG_KL_FLOOR)
     reg = lambdas / floored  # exactly 0 where lambda is 0
     reg_slope = np.where(kl_c >= REG_KL_FLOOR, -reg / floored, 0.0)  # d reg / d kl_c
-    by_length: dict[int, list] = {}
-    for s in spat:
-        by_length.setdefault(s.n, []).append([g.values for g in s.maps])
-    log_qs = [np.array(group).reshape(len(group), n, -1) for n, group in by_length.items()]  # [S_m, M, pixels]
+    log_qs = [_truth_stack(group, grid, cfg.sigma).reshape(len(group), n, -1)  # [S_m, M, pixels]
+              for n, group in by_length.items()]
     weights, total = [], 0.0
     for log_q in log_qs:
         np.log(log_q, out=log_q)  # the truth maps' logs, taken per call: nothing keeps them between calls
@@ -268,12 +268,12 @@ def kl_dtw_loss(pred_maps, truth, cfg: LossConfig, grid: GridSpec | None = None)
         R, W = _soft_dtw_dp(D, cfg.gamma)
         weights.append(W)
         total += R.sum()
-    value = total / len(spat)
+    value = total / len(truth)
     if not any(isinstance(p, Tensor) for p in pred_maps):
         return float(value)
 
     def vjp(g):
-        scale = float(np.asarray(g).reshape(())) / len(spat)
+        scale = float(np.asarray(g).reshape(())) / len(truth)
         grad = np.zeros_like(P)
         row_weight = np.zeros(len(arrays))  # d loss / d (selfs[i] + reg[i])
         for log_q, W in zip(log_qs, weights):

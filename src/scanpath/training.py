@@ -3,8 +3,12 @@
 Per step one image is drawn in seeded shuffled order, the network is rolled
 out with the fixation inputs of one randomly chosen anchor scanpath, and the
 KL/soft-DTW loss against all of the image's scanpaths is backpropagated.
+A prepared example holds its scanpaths as points: the anchor's input maps and
+the loss's truth maps are rendered from them in each step, and nothing keeps
+them between steps.
 The loss log and checkpoints are byte-reproducible functions of
-(dataset, config, seed).
+(dataset, config, seed), at any BLAS thread count on the build this was
+checked on (see README).
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState
+from .core import gaussian_maps
 from .data_io import Checkpoint, PreparedExample, read_checkpoint, write_atomic, write_checkpoint
-from .errors import DataError, NumericalError, ParameterError
+from .errors import ConfigMismatchError, DataError, NumericalError, ParameterError
 from .losses import LossConfig, kl_dtw_loss
 from .model import ModelConfig, ScanpathModel, model_from_checkpoint, model_to_checkpoint
 
@@ -78,13 +83,11 @@ def train_step(example: PreparedExample, state: TrainState, cfg: TrainConfig) ->
     model = state.model
     n_fix = model.cfg.n_fixations
 
-    anchor_idx = int(state.rng.integers(len(example.scanpaths)))
-    anchor_maps = example.spatialized[anchor_idx].maps[: n_fix - 1]
+    anchor = example.scanpaths[int(state.rng.integers(len(example.scanpaths)))]
+    anchor_maps = gaussian_maps(anchor.coords()[: n_fix - 1], model.cfg.grid, model.cfg.sigma)
     feat = model.feature_stack(image=example.image, precomputed=example.features)
-    frames = model.rollout_training(
-        feat, state.rng, input_maps=anchor_maps if cfg.teacher_forcing else None
-    )
-    loss = kl_dtw_loss(frames, list(example.spatialized), cfg.loss, model.cfg.grid)
+    frames = model.rollout_training(feat, state.rng, input_maps=anchor_maps if cfg.teacher_forcing else None)
+    loss = kl_dtw_loss(frames, example.scanpaths, cfg.loss, model.cfg.grid)
     value = loss.item()
     if not math.isfinite(value):
         raise NumericalError(f"non-finite loss {value} at step {state.step + 1}")
@@ -120,10 +123,16 @@ def _log_rows_through(path: Path, step: int) -> list[str]:
     return rows
 
 
-def check_feature_inputs(model: ScanpathModel, prepared: list[PreparedExample]) -> None:
-    """Build each example's feature stack, so a missing or misshapen feature input fails before anything is written."""
+def check_inputs(model: ScanpathModel, prepared: list[PreparedExample]) -> None:
+    """Check each example's grid and sigma against the model's and build its feature stack, so a mismatched
+    example or a missing or misshapen feature input fails before anything is written."""
+    cfg = model.cfg
     with ad.no_grad():
         for ex in prepared:
+            if ex.grid != cfg.grid or ex.sigma != cfg.sigma:
+                raise ConfigMismatchError(
+                    f"image '{ex.image_id}' was prepared for a {ex.grid.width}x{ex.grid.height} grid at sigma "
+                    f"{ex.sigma}, the model needs {cfg.grid.width}x{cfg.grid.height} at sigma {cfg.sigma}")
             model.feature_stack(image=ex.image, precomputed=ex.features)
 
 
@@ -139,7 +148,7 @@ def train(prepared: list[PreparedExample], cfg: TrainConfig, out_dir, resume_fro
     if not prepared:
         raise DataError("training needs at least one prepared image")
     state = init_state(cfg) if resume_from is None else resume_state(resume_from, cfg)
-    check_feature_inputs(state.model, prepared)
+    check_inputs(state.model, prepared)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if resume_from is None:

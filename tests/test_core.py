@@ -10,6 +10,7 @@ from scanpath.core import (
     ProbMap,
     Scanpath,
     gaussian_map,
+    gaussian_maps,
     map_argmax,
     spatialize,
 )
@@ -81,6 +82,44 @@ def test_gaussian_errors():
         gaussian_map(GazePoint(1.0, -0.5), grid, 1.0)
     with pytest.raises(ParameterError):
         gaussian_map(GazePoint(1.0, 1.0), grid, 0.0)
+
+
+def literal_gaussian_map(px, py, grid, sigma):
+    """One point's map, pixel by pixel: exp, the EPS floor added, divided by the map's sum, the floor again."""
+    raw = [[math.exp(-((x - px) ** 2 + (y - py) ** 2) / (2 * sigma * sigma)) + EPS for x in range(grid.width)]
+           for y in range(grid.height)]
+    total = math.fsum(v for row in raw for v in row)
+    return np.array([[max(v / total, EPS) for v in row] for row in raw])
+
+
+@pytest.mark.parametrize("width,height", [(7, 5), (17, 5), (3, 2), (1, 5), (10, 7), (33, 31)])
+@pytest.mark.parametrize("sigma", [0.7, 1.0, 2.0, 4.5])
+def test_gaussian_maps_match_a_per_point_oracle(width, height, sigma):
+    grid = GridSpec(width, height)
+    rng = np.random.default_rng(width * 100 + height)
+    far = (width - 1e-9, height - 1e-9)
+    xy = np.array([far, (0.0, 0.0), (width - 1e-9, 0.0), (0.0, height - 1e-9),
+                   *zip(rng.uniform(0, width, 5), rng.uniform(0, height, 5))])
+    maps = gaussian_maps(xy, grid, sigma)
+    assert maps.shape == (len(xy), height, width)
+    for (px, py), m in zip(xy, maps):
+        np.testing.assert_allclose(m, literal_gaussian_map(px, py, grid, sigma), rtol=1e-13, atol=0)
+        assert m.min() >= EPS and abs(m.sum() - 1.0) <= width * height * EPS  # what the floor adds back
+        assert np.array_equal(m, gaussian_map(GazePoint(px, py), grid, sigma).values)
+    path = Scanpath(tuple(GazePoint(px, py, i) for i, (px, py) in enumerate(xy)))
+    assert all(np.array_equal(g.values, m) for g, m in zip(spatialize(path, grid, sigma).maps, maps))
+
+
+@pytest.mark.parametrize("x,y", [(7.0, 1.0), (1.0, 5.0), (-1e-9, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.inf)])
+def test_gaussian_maps_reject_a_point_outside_the_grid(x, y):
+    with pytest.raises(BoundsError, match="outside 7x5 grid"):
+        gaussian_maps([(1.0, 1.0), (x, y), (2.0, 2.0)], GridSpec(7, 5), 1.0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+def test_gaussian_maps_reject_a_bad_sigma(sigma):
+    with pytest.raises(ParameterError, match="sigma"):
+        gaussian_maps([(1.0, 1.0)], GridSpec(7, 5), sigma)
 
 
 def test_gaussian_translation_equivariance():
@@ -193,7 +232,7 @@ def _array_holder(kind):
     if kind == "SpatializedScanpath":
         return spatialize(path, grid, 1.0)
     if kind == "PreparedExample":
-        return PreparedExample("img", (path,), (spatialize(path, grid, 1.0),), np.zeros((4, 4)))
+        return PreparedExample("img", (path,), grid, 1.0, np.zeros((4, 4)))
     return Checkpoint(tensors={"w": np.arange(3.0)}, hyper={"step": "1"})
 
 

@@ -1,6 +1,8 @@
 import math
 import re
 import struct
+import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from scanpath.core import GazePoint, GridSpec, Scanpath, group_by_image
+from scanpath.core import GazePoint, GridSpec, Scanpath, group_by_image, spatialize
 from scanpath.data_io import (
     FEATURE_MAGIC,
     Checkpoint,
@@ -181,6 +183,28 @@ def test_preprocess_excludes_empty_images():
     with pytest.warns(UserWarning):
         prepared = preprocess(ds, grid, n_fix=8, sigma=2.0)
     assert prepared == []
+
+
+def test_prepared_examples_hold_points_and_render_their_maps_on_each_access():
+    grid = GridSpec(32, 32)
+    ds = synth_dataset(10, 15, 2, grid, np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prepared = preprocess(ds, grid, n_fix=8, sigma=2.0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1e6  # the 1200 rendered maps alone would be 9.8 MB
+    for ex in prepared:
+        assert (ex.grid, ex.sigma) == (grid, 2.0)
+        assert set(vars(ex)) == {f.name for f in fields(ex)}  # nothing cached beside the fields
+        assert ex.spatialized is not ex.spatialized
+        for spat, s in zip(ex.spatialized, ex.scanpaths, strict=True):
+            want = spatialize(s, grid, 2.0)
+            assert all(np.array_equal(a.values, b.values) for a, b in zip(spat.maps, want.maps, strict=True))
+    with pytest.raises(ParameterError, match="sigma"):
+        preprocess(ds, grid, n_fix=8, sigma=0.0)
 
 
 def oracle_rescale_point(x, y, src_w, src_h, dst_w, dst_h):

@@ -575,6 +575,34 @@ def test_kl_dtw_loss_equals_per_scanpath_log_stacking_bit_for_bit(width, height)
     assert kl_dtw_loss(maps, truth, cfg, grid) == want
 
 
+def test_kl_dtw_loss_on_raw_scanpaths_equals_the_loss_on_their_spatialized_maps():
+    grid, rng = GridSpec(7, 5), np.random.default_rng(5)
+    raw = [Scanpath(tuple(GazePoint(rng.uniform(0, 7), rng.uniform(0, 5), i) for i in range(n)), "img", f"o{k}")
+           for k, n in enumerate((5, 3, 6, 5, 3, 1))]
+    edges = (GazePoint(7 - 1e-9, 5 - 1e-9, 0), GazePoint(0.0, 0.0, 1), GazePoint(3.5, 2.5, 2))
+    raw.append(Scanpath(edges, "img", "edge"))
+    spat = [spatialize(s, grid, 1.3) for s in raw]
+    maps = [np.exp(l) / np.exp(l).sum() for l in rng.normal(size=(6, 5, 7))]
+    cfg = LossConfig(gamma=0.1, lambda_base=0.05, lambda_slope=0.05, sigma=1.3)
+    want, want_grad = loss_and_grads(kl_dtw_loss, maps, spat, cfg, grid)
+    mixed = [s if k % 2 else sp for k, (s, sp) in enumerate(zip(raw, spat))]  # both kinds within one length group
+    for truth in (raw, mixed):
+        got, got_grad = loss_and_grads(kl_dtw_loss, maps, truth, cfg, grid)
+        assert got == want and got_grad.tobytes() == want_grad.tobytes()
+        assert kl_dtw_loss(maps, truth, cfg, grid) == want
+
+
+def test_kl_dtw_loss_rejects_truth_on_another_grid():
+    grid, maps = GridSpec(7, 5), [np.full((5, 7), 1 / 35)] * 3
+    path = Scanpath((GazePoint(1.0, 1.0, 0), GazePoint(2.0, 3.0, 1)))
+    with pytest.raises(ShapeError):
+        kl_dtw_loss(maps, [path, spatialize(path, GridSpec(5, 7), 1.0)], LossConfig(sigma=1.0), grid)
+    with pytest.raises(ShapeError):
+        kl_dtw_loss(maps, [path], LossConfig(sigma=1.0), GridSpec(5, 7))
+    with pytest.raises(ParameterError, match="unsupported"):
+        kl_dtw_loss(maps, [path, path.coords()], LossConfig(sigma=1.0), grid)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1e-3])
 def test_kl_dtw_loss_rejects_nonpositive_prediction(bad):
     grid, truth, maps = train_shaped_case()

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,6 +191,46 @@ def test_resume_from_an_unusable_checkpoint_creates_no_output_directory(tmp_path
         train(prepared, replace(cfg, model=replace(cfg.model, hidden_channels=4)), tmp_path / "mismatched",
               resume_from=mid)
     assert not (tmp_path / "missing").exists() and not (tmp_path / "mismatched").exists()
+
+
+@pytest.mark.parametrize("grid, sigma", [(GridSpec(8, 8), 1.5), (GridSpec(8, 7), 1.0)], ids=["sigma", "grid"])
+def test_an_example_prepared_for_another_grid_or_sigma_creates_no_output_directory(tmp_path, grid, sigma):
+    prepared, cfg = toy_setup()
+    other = preprocess(synth_dataset(1, 3, 1, grid, np.random.default_rng(1)), grid, n_fix=3, sigma=sigma)
+    with pytest.raises(ConfigMismatchError, match=f"prepared for a {grid.width}x{grid.height} grid at sigma {sigma}"):
+        train(prepared + other, cfg, tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
+TRAIN_SCRIPT = """
+import sys
+import numpy as np
+from scanpath.core import GridSpec
+from scanpath.data_io import preprocess, synth_dataset
+from scanpath.model import ModelConfig
+from scanpath.training import TrainConfig, train
+grid = GridSpec(32, 32)
+prepared = preprocess(synth_dataset(2, 4, 2, grid, np.random.default_rng(5)), grid, n_fix=8, sigma=2.0)
+train(prepared, TrainConfig(model=ModelConfig(grid=grid), lr=1e-3, max_steps=4, checkpoint_every=2, seed=2),
+      sys.argv[1])
+"""
+
+
+def test_training_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # layer 0's kernel gradient at these sizes (64 x 153 from an inner dimension of 1024) is where one GEMM order
+    # summed differently under two OpenBLAS threads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = {}
+    for threads in sorted({1, min(2, os.cpu_count() or 1)}):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), str(threads)))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-c", TRAIN_SCRIPT, str(out)], env=env, check=True, timeout=600)
+        runs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    first, *others = runs.values()
+    assert sorted(first) == ["checkpoint_000000.spck", "checkpoint_000002.spck", "checkpoint_000004.spck",
+                             "checkpoint_final.spck", "loss_log.csv"]
+    assert all(run == first for run in others)
 
 
 def test_crashed_run_keeps_its_log_and_resume_appends_to_it(tmp_path, monkeypatch):
