@@ -8,8 +8,6 @@ from .core import (  # noqa: F401
     GridSpec,
     ProbMap,
     Scanpath,
-    SpatializedScanpath,
     gaussian_map,
-    map_argmax,
     spatialize,
 )

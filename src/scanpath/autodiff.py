@@ -131,11 +131,6 @@ def _gate_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return y
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    y = _sigmoid_values(a.data)
-    return node(y, (a,), lambda g: (g * y * (1.0 - y),))
-
-
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
     return node(y, (a,), lambda g: (g * (1.0 - y * y),))

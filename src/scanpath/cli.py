@@ -4,8 +4,9 @@ Every command reads a flat key=value run config, writes a manifest and a full
 config echo into its output directory, and is deterministic given --seed.
 The keys come from the configs they feed: the grid size, ModelConfig's
 hyperparameters, LossConfig, TrainConfig's scalars and MetricConfig (image
-sizes and the recurrence radius are floats, 0 meaning inferred from the data),
-then min_scanpath_len and the input paths; config.txt lists them in that order.
+sizes and the recurrence radius are floats, and 0, their default, means
+inferred from the data, as in MetricConfig), then min_scanpath_len and the
+input paths; config.txt lists them in that order.
 Exit codes: 0 success, 1 usage error, 2 data/format or file-system error,
 3 numerical failure.
 """
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import GridSpec, gaussian_map, group_by_image, parse_value
+from .core import GridSpec, gaussian_maps, group_by_image, parse_value
 from .data_io import (
     load_scanpath_dataset,
     preprocess,
@@ -48,20 +49,14 @@ from .model import HYPER_FIELDS, ModelConfig, model_from_checkpoint
 from .training import TrainConfig, check_inputs, init_state, resume_state, train
 
 
-def _key(f):
-    """A config class's field as a run-config key: `float | None` reads as a float, and a None default is
-    written as 0 (metric_config's rule, inverted)."""
-    kind = f.type.removesuffix(" | None")
-    return f.name, kind, field(default=parse_value("0", kind) if f.default is None else f.default)
-
-
 def _check_seed(rc) -> None:
     if rc.seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {rc.seed}")
 
 
 # The keys of the configs they feed, in their order; one sigma feeds ModelConfig and LossConfig.
-_FED_KEYS = {f.name: _key(f) for f in (*HYPER_FIELDS, *fields(LossConfig), *fields(TrainConfig), *fields(MetricConfig))
+_FED_KEYS = {f.name: (f.name, f.type, field(default=f.default))
+             for f in (*HYPER_FIELDS, *fields(LossConfig), *fields(TrainConfig), *fields(MetricConfig))
              if f.name not in ("model", "loss")}
 # Only the keys no config class holds are declared by hand: the grid (ModelConfig.grid has no default),
 # preprocess's length filter and the input paths.
@@ -115,13 +110,7 @@ def loss_config(rc: RunConfig) -> LossConfig:
 
 
 def metric_config(rc: RunConfig) -> MetricConfig:
-    """0 leaves a field whose MetricConfig default is None (the radius and image size) to be inferred
-    from the data; MetricConfig rejects any other nonpositive or non-finite value."""
-    values = {}
-    for f in fields(MetricConfig):
-        value = getattr(rc, f.name)
-        values[f.name] = None if f.default is None and value == 0 else value
-    return MetricConfig(**values)
+    return MetricConfig(**{f.name: getattr(rc, f.name) for f in fields(MetricConfig)})
 
 
 def train_config(rc: RunConfig) -> TrainConfig:
@@ -286,12 +275,9 @@ def cmd_evaluate(args) -> int:
 
 
 def aggregate_heatmap(paths, grid: GridSpec, sigma: float, native_w, native_h) -> np.ndarray:
-    """Sum of per-fixation Gaussians over all scanpaths, on the model grid."""
-    heat = np.zeros((grid.height, grid.width))
-    for s in paths:
-        for p in to_grid(s, native_w, native_h, grid).points:
-            heat += gaussian_map(p, grid, sigma).values
-    return heat
+    """Sum of per-fixation Gaussians over all scanpaths, on the model grid, rendered in one pass."""
+    xy = np.concatenate([to_grid(s, native_w, native_h, grid).coords() for s in paths])
+    return gaussian_maps(xy, grid, sigma).sum(axis=0)
 
 
 def cmd_saliency(args) -> int:

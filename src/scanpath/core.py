@@ -8,7 +8,7 @@ be continuous; discretization only happens when a point is rendered into a map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,29 +111,6 @@ class ProbMap:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True, eq=False)
-class SpatializedScanpath:
-    """A scanpath rendered as one Gaussian probability map per fixation."""
-
-    maps: tuple[ProbMap, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "maps", tuple(self.maps))
-        if len(self.maps) == 0:
-            raise ParameterError("spatialized scanpath cannot be empty")
-        grid = self.maps[0].grid
-        if any(m.grid != grid for m in self.maps):
-            raise ShapeError("all maps of a spatialized scanpath must share one grid")
-
-    @property
-    def n(self) -> int:
-        return len(self.maps)
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.maps[0].grid
-
-
 def gaussian_maps(xy, grid: GridSpec, sigma: float) -> np.ndarray:
     """[K, H, W] isotropic Gaussians centered on the K (x, y) rows of xy, discretized per pixel.
 
@@ -163,16 +140,9 @@ def gaussian_map(p: GazePoint, grid: GridSpec, sigma: float) -> ProbMap:
     return ProbMap(gaussian_maps((p.x, p.y), grid, sigma)[0], grid)
 
 
-def spatialize(s: Scanpath, grid: GridSpec, sigma: float) -> SpatializedScanpath:
-    """Render every fixation of the scanpath as a Gaussian map."""
-    return SpatializedScanpath(tuple(ProbMap(m, grid) for m in gaussian_maps(s.coords(), grid, sigma)))
-
-
-def map_argmax(m: ProbMap) -> GazePoint:
-    """Pixel of maximum probability; ties go to the smallest row, then column."""
-    flat = int(np.argmax(m.values))
-    row, col = divmod(flat, m.grid.width)
-    return GazePoint(float(col), float(row))
+def spatialize(s: Scanpath, grid: GridSpec, sigma: float) -> np.ndarray:
+    """The scanpath's [N, H, W] map stack: one Gaussian map per fixation, in order."""
+    return gaussian_maps(s.coords(), grid, sigma)
 
 
 def align(cost: np.ndarray, step, border) -> np.ndarray:

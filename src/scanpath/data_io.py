@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GazePoint, GridSpec, Scanpath, SpatializedScanpath, group_by_image, spatialize
+from .core import GazePoint, GridSpec, Scanpath, group_by_image, spatialize
 from .errors import DataError, FormatError, ParameterError
 
 SCANPATH_CSV_HEADER = "image_id,observer_id,fix_index,x,y"
@@ -203,7 +203,7 @@ def load_scanpath_dataset(path, images_dir=None, features_dir=None) -> Dataset:
 @dataclass(frozen=True, eq=False)
 class PreparedExample:
     """One image ready for training: grid-space scanpaths of fixed length, with the grid and the Gaussian width
-    they were prepared for. It holds points; maps are rendered from them when asked for."""
+    they were prepared for. It holds points; their [N, H, W] map stacks are rendered when asked for."""
 
     image_id: str
     scanpaths: tuple[Scanpath, ...]
@@ -213,8 +213,8 @@ class PreparedExample:
     features: np.ndarray | None = None  # precomputed feature tensor, for feature_source=precomputed
 
     @property
-    def spatialized(self) -> tuple[SpatializedScanpath, ...]:
-        """Each scanpath rendered at the example's grid and sigma, anew on every access."""
+    def spatialized(self) -> tuple[np.ndarray, ...]:
+        """Each scanpath's [N, H, W] map stack at the example's grid and sigma, rendered anew on every access."""
         return tuple(spatialize(s, self.grid, self.sigma) for s in self.scanpaths)
 
 

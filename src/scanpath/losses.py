@@ -23,8 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .core import (GazePoint, GridSpec, ProbMap, Scanpath, SpatializedScanpath, align, gaussian_map, gaussian_maps,
-                   inf_border)
+from .core import GazePoint, GridSpec, ProbMap, Scanpath, align, gaussian_map, gaussian_maps, inf_border
 from .errors import ParameterError, ShapeError
 
 # Guard for the 1/KL regularizer when a prediction coincides with the prior.
@@ -211,20 +210,22 @@ def pairwise_cost(r_i, g_j, lam: float, prior: CenterPrior):
 
 
 def _truth_stack(group, grid: GridSpec, sigma: float) -> np.ndarray:
-    """[S, M, H, W] maps of equal-length ground-truth entries, or their [S * M, H, W] when every entry is raw:
-    raw scanpaths are rendered straight into it, spatialized ones stacked as they are."""
+    """A new [S, M, H, W] array of equal-length ground-truth entries, or its [S * M, H, W] when every entry is raw:
+    raw scanpaths are rendered straight into it, map stacks copied as they are."""
     if all(isinstance(s, Scanpath) for s in group):
         return gaussian_maps(np.concatenate([s.coords() for s in group]), grid, sigma)
-    return np.array([gaussian_maps(s.coords(), grid, sigma) if isinstance(s, Scanpath) else [g.values for g in s.maps]
-                     for s in group])
+    return np.array([gaussian_maps(s.coords(), grid, sigma) if isinstance(s, Scanpath) else s for s in group],
+                    dtype=np.float64)
 
 
 def kl_dtw_loss(pred_maps, truth, cfg: LossConfig, grid: GridSpec | None = None):
     """Mean soft-DTW alignment cost of the prediction against every scanpath.
 
     pred_maps: predicted per-step maps (tensors during training); truth: the
-    image's ground-truth scanpaths, raw or already spatialized. The center-bias
-    weight for row i follows lambda_schedule(i), the fixation's time index.
+    image's ground-truth scanpaths, each a raw Scanpath or its [N, H, W] map
+    stack (what spatialize returns: positive and finite) on the predictions'
+    grid. The center-bias weight for row i follows lambda_schedule(i), the
+    fixation's time index.
 
     The cost matrices are assembled from shared per-prediction subterms
     (sum P log P and the center regularizer are independent of the ground
@@ -242,12 +243,15 @@ def kl_dtw_loss(pred_maps, truth, cfg: LossConfig, grid: GridSpec | None = None)
         grid = GridSpec(width=shape[1], height=shape[0])
     by_length: dict[int, list] = {}
     for s in truth:
-        if not isinstance(s, (Scanpath, SpatializedScanpath)):
-            raise ParameterError(f"unsupported ground-truth entry: {type(s)!r}")
-        by_length.setdefault(s.n, []).append(s)
+        stack = isinstance(s, np.ndarray) and s.ndim == 3 and len(s) > 0
+        if not (stack or isinstance(s, Scanpath)):
+            raise ParameterError(f"unsupported ground-truth entry: {type(s)!r} (a Scanpath or an [N, H, W] map stack)")
+        by_length.setdefault(len(s) if stack else s.n, []).append(s)
     if (any(a.shape != shape for a in arrays) or (grid.height, grid.width) != shape
-            or any(s.grid != grid for s in truth if isinstance(s, SpatializedScanpath))):
+            or any(s.shape[1:] != shape for s in truth if isinstance(s, np.ndarray))):
         raise ShapeError(f"kl_dtw_loss: every predicted and ground-truth map must have shape {shape}")
+    if not all(np.all((s > 0) & (s < np.inf)) for s in truth if isinstance(s, np.ndarray)):
+        raise ParameterError("ground-truth map stacks must be strictly positive and finite")
     P = np.stack(arrays).reshape(len(arrays), -1)
     if np.any(P <= 0):
         raise ParameterError("predicted maps must be strictly positive")

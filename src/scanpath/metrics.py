@@ -31,18 +31,18 @@ def direction(metric: str) -> str:
 class MetricConfig:
     """Binning, recurrence and embedding parameters of the metric suite.
 
-    image_width/image_height define the coordinate space; when left at None
-    they are inferred from the scanpaths being compared. recurrence_radius
-    defaults to a tenth of the image diagonal.
+    image_width/image_height define the coordinate space; at 0, the default,
+    they are inferred from the scanpaths being compared. recurrence_radius at
+    0 is a tenth of the image diagonal. The three must be finite and >= 0.
     """
 
     bin_cols: int = 8
     bin_rows: int = 5
-    recurrence_radius: float | None = None
+    recurrence_radius: float = 0.0
     min_line: int = 2
     tde_k: int = 3
-    image_width: float | None = None
-    image_height: float | None = None
+    image_width: float = 0.0
+    image_height: float = 0.0
 
     def __post_init__(self):
         if self.bin_cols < 1 or self.bin_rows < 1:
@@ -53,20 +53,18 @@ class MetricConfig:
             raise ParameterError("delay-embedding dimension must be >= 1")
         for name in ("recurrence_radius", "image_width", "image_height"):
             value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ParameterError(f"{name} must be positive and finite, got {value}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ParameterError(f"{name} must be finite and nonnegative (0: inferred), got {value}")
 
     def resolved(self, *path_groups) -> "MetricConfig":
-        """Fill in image dimensions and radius from the data when unset."""
+        """Fill in image dimensions and radius left at 0 from the data."""
         w, h = self.image_width, self.image_height
-        if w is None or h is None:
+        if not (w and h):
             tops = [s.coords().max(axis=0) for group in path_groups for s in group]
             max_x, max_y = np.max(tops + [(0.0, 0.0)], axis=0)
-            w = w if w is not None else math.floor(max_x) + 1.0
-            h = h if h is not None else math.floor(max_y) + 1.0
-        rho = self.recurrence_radius
-        if rho is None:
-            rho = math.hypot(w, h) / 10.0
+            w = w or math.floor(max_x) + 1.0
+            h = h or math.floor(max_y) + 1.0
+        rho = self.recurrence_radius or math.hypot(w, h) / 10.0
         return replace(self, image_width=w, image_height=h, recurrence_radius=rho)
 
 

@@ -3,9 +3,9 @@
 Per step one image is drawn in seeded shuffled order, the network is rolled
 out with the fixation inputs of one randomly chosen anchor scanpath, and the
 KL/soft-DTW loss against all of the image's scanpaths is backpropagated.
-A prepared example holds its scanpaths as points: the anchor's input maps and
-the loss's truth maps are rendered from them in each step, and nothing keeps
-them between steps.
+A prepared example holds its scanpaths as points: the anchor's input maps
+(under teacher forcing) and the loss's truth maps are rendered from them in
+each step, and nothing keeps them between steps.
 The loss log and checkpoints are byte-reproducible functions of
 (dataset, config, seed), at any BLAS thread count on the build this was
 checked on (see README).
@@ -83,10 +83,11 @@ def train_step(example: PreparedExample, state: TrainState, cfg: TrainConfig) ->
     model = state.model
     n_fix = model.cfg.n_fixations
 
-    anchor = example.scanpaths[int(state.rng.integers(len(example.scanpaths)))]
-    anchor_maps = gaussian_maps(anchor.coords()[: n_fix - 1], model.cfg.grid, model.cfg.sigma)
+    anchor = example.scanpaths[int(state.rng.integers(len(example.scanpaths)))]  # drawn in both modes
+    anchor_maps = (gaussian_maps(anchor.coords()[: n_fix - 1], model.cfg.grid, model.cfg.sigma)
+                   if cfg.teacher_forcing else None)
     feat = model.feature_stack(image=example.image, precomputed=example.features)
-    frames = model.rollout_training(feat, state.rng, input_maps=anchor_maps if cfg.teacher_forcing else None)
+    frames = model.rollout_training(feat, state.rng, input_maps=anchor_maps)
     loss = kl_dtw_loss(frames, example.scanpaths, cfg.loss, model.cfg.grid)
     value = loss.item()
     if not math.isfinite(value):
@@ -124,11 +125,18 @@ def _log_rows_through(path: Path, step: int) -> list[str]:
 
 
 def check_inputs(model: ScanpathModel, prepared: list[PreparedExample]) -> None:
-    """Check each example's grid and sigma against the model's and build its feature stack, so a mismatched
-    example or a missing or misshapen feature input fails before anything is written."""
+    """Check each example's scanpaths, grid and sigma against the model's and build its feature stack, so an
+    example without scanpaths or with another length, grid or sigma, or a missing or misshapen feature input,
+    fails before anything is written."""
     cfg = model.cfg
     with ad.no_grad():
         for ex in prepared:
+            if not ex.scanpaths:
+                raise DataError(f"image '{ex.image_id}' has no scanpaths")
+            lengths = {s.n for s in ex.scanpaths} - {cfg.n_fixations}
+            if lengths:
+                raise ConfigMismatchError(f"image '{ex.image_id}' has a scanpath of {min(lengths)} fixations, "
+                                          f"the model needs {cfg.n_fixations}")
             if ex.grid != cfg.grid or ex.sigma != cfg.sigma:
                 raise ConfigMismatchError(
                     f"image '{ex.image_id}' was prepared for a {ex.grid.width}x{ex.grid.height} grid at sigma "

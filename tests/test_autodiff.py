@@ -27,7 +27,6 @@ from scanpath.autodiff import (
     reshape,
     sample_bayes_kernel,
     scalar_mul,
-    sigmoid,
     slice0,
     softplus,
     tanh,
@@ -381,7 +380,6 @@ def test_convlstm_cell_holds_gates_c_tanh_c_and_h_and_under_no_grad_only_c_and_h
 
 
 def test_pointwise_values():
-    assert sigmoid(constant(0.0)).item() == 0.5
     assert tanh(constant(0.0)).item() == 0.0
     a = constant(np.array([1.0, -2.0, 3.0]))
     assert np.allclose(hadamard(a, constant(np.ones(3))).data, a.data)
@@ -469,7 +467,6 @@ def test_no_grad_blocks_recording():
 @pytest.mark.parametrize(
     "name,f",
     [
-        ("sigmoid", lambda x: tsum(sigmoid(x))),
         ("tanh", lambda x: tsum(tanh(x))),
         ("softplus", lambda x: tsum(softplus(x))),
         ("exp", lambda x: tsum(texp(x))),

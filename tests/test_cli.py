@@ -173,14 +173,13 @@ def test_evaluate_baselines_without_two_predicted_paths_on_an_image_write_no_mod
 
 
 def test_run_config_defaults_match_the_configs_they_feed():
-    # RunConfig repeats these defaults by hand; MetricConfig's None defaults are written as 0
+    # RunConfig takes these defaults from the config classes
     run = {f.name: f.default for f in fields(RunConfig)}
     checked = set()
     for cls in (ModelConfig, LossConfig, TrainConfig, MetricConfig):
         for f in fields(cls):
             if f.name in run:
-                want = 0 if cls is MetricConfig and f.default is None else f.default
-                assert run[f.name] == want, f"{cls.__name__}.{f.name}"
+                assert run[f.name] == f.default, f"{cls.__name__}.{f.name}"
                 checked.add(f.name)
     assert run["min_scanpath_len"] == inspect.signature(preprocess).parameters["min_len"].default
     # the keys no config class holds: the grid (ModelConfig.grid has no default), the filter and the paths
@@ -190,7 +189,7 @@ def test_run_config_defaults_match_the_configs_they_feed():
 
 def test_metric_config_zero_infers_and_rejects_other_nonpositive():
     cfg = metric_config(RunConfig())
-    assert (cfg.image_width, cfg.image_height, cfg.recurrence_radius) == (None, None, None)
+    assert (cfg.image_width, cfg.image_height, cfg.recurrence_radius) == (0.0, 0.0, 0.0)
     for bad in ({"image_width": -3}, {"image_height": -1}, {"recurrence_radius": -2.0},
                 {"recurrence_radius": math.nan}, {"recurrence_radius": math.inf}):
         with pytest.raises(ParameterError):

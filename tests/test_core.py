@@ -11,7 +11,6 @@ from scanpath.core import (
     Scanpath,
     gaussian_map,
     gaussian_maps,
-    map_argmax,
     spatialize,
 )
 from scanpath.data_io import Checkpoint, PreparedExample
@@ -41,19 +40,23 @@ def direct_gaussian(px, py, grid, sigma):
     return raw / total
 
 
+def peak(values: np.ndarray) -> tuple[int, int]:
+    """(x, y) of the largest entry; ties go to the smallest row, then column."""
+    row, col = np.unravel_index(np.argmax(values), values.shape)
+    return int(col), int(row)
+
+
 def test_gaussian_center_symmetry():
     grid = GridSpec(9, 9)
     m = gaussian_map(GazePoint(4, 4), grid, sigma=1.0)
-    p = map_argmax(m)
-    assert (p.x, p.y) == (4, 4)
+    assert peak(m.values) == (4, 4)
     assert np.allclose(m.values, np.rot90(m.values))
     assert np.allclose(m.values, np.rot90(m.values, 2))
 
 
 def test_gaussian_corner_normalization():
     m = gaussian_map(GazePoint(0, 0), GridSpec(9, 9), sigma=1.0)
-    p = map_argmax(m)
-    assert (p.x, p.y) == (0, 0)
+    assert peak(m.values) == (0, 0)
     assert abs(m.values.sum() - 1.0) <= 1e-6
 
 
@@ -107,7 +110,7 @@ def test_gaussian_maps_match_a_per_point_oracle(width, height, sigma):
         assert m.min() >= EPS and abs(m.sum() - 1.0) <= width * height * EPS  # what the floor adds back
         assert np.array_equal(m, gaussian_map(GazePoint(px, py), grid, sigma).values)
     path = Scanpath(tuple(GazePoint(px, py, i) for i, (px, py) in enumerate(xy)))
-    assert all(np.array_equal(g.values, m) for g, m in zip(spatialize(path, grid, sigma).maps, maps))
+    assert np.array_equal(spatialize(path, grid, sigma), maps)
 
 
 @pytest.mark.parametrize("x,y", [(7.0, 1.0), (1.0, 5.0), (-1e-9, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.inf)])
@@ -138,7 +141,7 @@ def nearest_pixel(v: float, limit: int) -> int:
     """Round a continuous coordinate to the nearest pixel index in [0, limit).
 
     Exact halves resolve to the smaller index so the result always agrees with
-    map_argmax's tie-break on the two equal-valued neighbours.
+    peak's tie-break on the two equal-valued neighbours.
     """
     return int(min(max(math.ceil(v - 0.5), 0), limit - 1))
 
@@ -156,11 +159,11 @@ def test_spatialize_basic():
     grid = GridSpec(8, 8)
     s1 = Scanpath((GazePoint(1, 1, 0),), "img", "obs")
     out = spatialize(s1, grid, 1.0)
-    assert out.n == 1
+    assert type(out) is np.ndarray and out.shape == (1, 8, 8)
 
     s2 = Scanpath((GazePoint(3, 4, 0), GazePoint(3, 4, 1)), "img", "obs")
     out2 = spatialize(s2, grid, 1.0)
-    assert np.array_equal(out2.maps[0].values, out2.maps[1].values)
+    assert np.array_equal(out2[0], out2[1])
 
 
 def test_spatialize_argmax_recovers_rounded_points():
@@ -171,28 +174,14 @@ def test_spatialize_argmax_recovers_rounded_points():
     )
     s = Scanpath(pts, "img", "obs")
     out = spatialize(s, grid, sigma=2.0)
-    assert out.n == 8
-    for p, m in zip(pts, out.maps):
-        q = map_argmax(m)
-        assert q.x == nearest_pixel(p.x, 32)
-        assert q.y == nearest_pixel(p.y, 32)
+    assert out.shape == (8, 32, 32)
+    for p, m in zip(pts, out):
+        assert peak(m) == (nearest_pixel(p.x, 32), nearest_pixel(p.y, 32))
 
 
-def test_map_argmax_delta_and_uniform():
-    grid = GridSpec(4, 4)
-    v = np.full((4, 4), EPS)
-    v[2, 1] = 1.0 - 15 * EPS
-    assert (map_argmax(ProbMap(v, grid)).x, map_argmax(ProbMap(v, grid)).y) == (1, 2)
-
-    u = np.full((4, 4), 1.0 / 16)
-    p = map_argmax(ProbMap(u, grid))
-    assert (p.x, p.y) == (0, 0)
-
-
-def test_map_argmax_gaussian():
+def test_gaussian_map_peaks_at_its_point():
     m = gaussian_map(GazePoint(5, 7), GridSpec(12, 12), 1.5)
-    p = map_argmax(m)
-    assert (p.x, p.y) == (5, 7)
+    assert peak(m.values) == (5, 7)
 
 
 def test_grid_and_scanpath_invariants():
@@ -229,14 +218,12 @@ def _array_holder(kind):
     path = Scanpath((GazePoint(1, 1, 0), GazePoint(2, 3, 1)), "img", "o")
     if kind == "ProbMap":
         return gaussian_map(GazePoint(1, 2), grid, 1.0)
-    if kind == "SpatializedScanpath":
-        return spatialize(path, grid, 1.0)
     if kind == "PreparedExample":
         return PreparedExample("img", (path,), grid, 1.0, np.zeros((4, 4)))
     return Checkpoint(tensors={"w": np.arange(3.0)}, hyper={"step": "1"})
 
 
-@pytest.mark.parametrize("kind", ["ProbMap", "SpatializedScanpath", "PreparedExample", "Checkpoint"])
+@pytest.mark.parametrize("kind", ["ProbMap", "PreparedExample", "Checkpoint"])
 def test_array_holders_compare_and_hash_by_identity(kind):
     # generated __eq__ would compare numpy arrays and raise on their ambiguous truth value
     a, b = _array_holder(kind), _array_holder(kind)

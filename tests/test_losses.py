@@ -66,7 +66,7 @@ def cell_soft_min(values, gamma):
 def per_cell_kl_dtw_loss(preds, truth, cfg, grid):
     """Reference loss built as a graph of scalar tensors: one node per cost entry and DP cell.
 
-    preds are map tensors; truth holds spatialized scanpaths of any lengths.
+    preds are map tensors; truth holds [N, H, W] map stacks of any lengths.
     """
     lambdas = [lambda_schedule(i, cfg) for i in range(len(preds))]
     use_reg = any(l > 0 for l in lambdas)
@@ -79,7 +79,7 @@ def per_cell_kl_dtw_loss(preds, truth, cfg, grid):
             reg_terms.append(ad.scalar_mul(ad.recip(ad.clamp_min(kl_c, 1e-6)), lambdas[i]))
     total = None
     for s in truth:
-        log_qs = [ad.constant(np.log(g.values)) for g in s.maps]
+        log_qs = [ad.constant(np.log(g)) for g in s]
         rows = []
         for i, p in enumerate(preds):
             row = []
@@ -398,7 +398,7 @@ def test_kl_dtw_loss_zero_at_exact_match():
     grid = GridSpec(8, 8)
     cfg = LossConfig(gamma=1e-8, lambda_base=0.0, lambda_slope=0.0, sigma=1.0)
     s = Scanpath(tuple(GazePoint(i, i, i) for i in range(4)), "img", "o")
-    pred = [m.values for m in spatialize(s, grid, 1.0).maps]
+    pred = list(spatialize(s, grid, 1.0))
     assert abs(kl_dtw_loss(pred, [s], cfg, grid)) < 1e-6
 
 
@@ -425,7 +425,7 @@ def test_kl_dtw_loss_matches_hand_assembly():
     prior = CenterPrior.for_grid(grid, cfg.sigma)
     expected_terms = []
     for s in paths:
-        maps = spatialize(s, grid, cfg.sigma).maps
+        maps = spatialize(s, grid, cfg.sigma)
         delta = np.array(
             [
                 [pairwise_cost(pred[i], maps[j], lambda_schedule(i, cfg), prior) for j in range(2)]
@@ -548,7 +548,7 @@ def per_scanpath_log_kl_dtw_loss(preds, truth, cfg, grid):
     reg_slope = np.where(kl_c >= 1e-6, -reg / floored, 0.0)
     by_length = {}
     for s in truth:
-        by_length.setdefault(s.n, []).append(np.log(np.stack([m.values.reshape(-1) for m in s.maps])))
+        by_length.setdefault(len(s), []).append(np.log(s.reshape(len(s), -1)))
     total, grad, row_weight = 0.0, np.zeros_like(P), np.zeros(len(preds))
     for log_q in (np.stack(group) for group in by_length.values()):
         R, W = _soft_dtw_dp(selfs[None, :, None] - np.einsum("ik,sjk->sij", P, log_q, optimize=True)
@@ -590,6 +590,13 @@ def test_kl_dtw_loss_on_raw_scanpaths_equals_the_loss_on_their_spatialized_maps(
         got, got_grad = loss_and_grads(kl_dtw_loss, maps, truth, cfg, grid)
         assert got == want and got_grad.tobytes() == want_grad.tobytes()
         assert kl_dtw_loss(maps, truth, cfg, grid) == want
+    # a prepared example's spatialized stacks against its points
+    ex = preprocess(synth_dataset(1, 5, 2, grid, np.random.default_rng(6)), grid, n_fix=4, sigma=1.3)[0]
+    maps = maps[:4]
+    want, want_grad = loss_and_grads(kl_dtw_loss, maps, ex.spatialized, cfg, grid)
+    got, got_grad = loss_and_grads(kl_dtw_loss, maps, ex.scanpaths, cfg, grid)
+    assert got == want and got_grad.tobytes() == want_grad.tobytes()
+    assert kl_dtw_loss(maps, ex.spatialized, cfg, grid) == kl_dtw_loss(maps, ex.scanpaths, cfg, grid) == want
 
 
 def test_kl_dtw_loss_rejects_truth_on_another_grid():
@@ -613,6 +620,15 @@ def test_kl_dtw_loss_rejects_nonpositive_prediction(bad):
         kl_dtw_loss([ad.parameter(m) for m in maps], truth, cfg, grid)
     with pytest.raises(ParameterError):
         kl_dtw_loss(maps, truth, cfg, grid)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
+def test_kl_dtw_loss_rejects_a_truth_stack_with_a_nonpositive_or_nonfinite_entry(bad):
+    grid, truth, maps = train_shaped_case()
+    truth[4] = truth[4].copy()
+    truth[4][2, 5, 7] = bad
+    with pytest.raises(ParameterError, match="strictly positive and finite"):
+        kl_dtw_loss(maps, truth, LossConfig(), grid)
 
 
 def test_kl_dtw_loss_uses_tiny_entries_unclamped():

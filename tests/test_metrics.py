@@ -138,7 +138,7 @@ def random_path(rng, n, lattice, image_id="img", observer_id="o"):
 
 
 def random_metric_config(rng):
-    radius = [None, float(rng.uniform(0.5, 40)), 1.0, 2.0, 1000.0][rng.integers(0, 5)]
+    radius = [0.0, float(rng.uniform(0.5, 40)), 1.0, 2.0, 1000.0][rng.integers(0, 5)]
     dims = {} if rng.random() < 0.5 else {"image_width": 80, "image_height": 50}
     return MetricConfig(recurrence_radius=radius, min_line=int(rng.integers(2, 6)),
                         tde_k=int(rng.integers(1, 4)), **dims)

@@ -6,7 +6,7 @@ import pytest
 from scanpath import autodiff as ad
 from scanpath import model as model_module
 from scanpath.autodiff import BayesConvParams, sample_bayes_kernel
-from scanpath.core import EPS, GazePoint, GridSpec, ProbMap, Scanpath, gaussian_map, map_argmax
+from scanpath.core import EPS, GazePoint, GridSpec, ProbMap, Scanpath, gaussian_map
 from scanpath.data_io import (load_scanpath_dataset, preprocess, read_checkpoint, save_scanpath_csv, synth_dataset,
                               write_checkpoint, write_feature_tensor)
 from scanpath.errors import ConfigMismatchError, DataError, FormatError, ParameterError
@@ -26,7 +26,7 @@ from scanpath.model import (
 )
 from scanpath.training import TrainConfig, init_state, train_step
 from test_autodiff import naive_conv2d
-from test_core import validate_probmap
+from test_core import peak, validate_probmap
 
 # chi-square critical value at p = 0.01 for 63 degrees of freedom
 CHI2_CRIT_63_P01 = 92.010
@@ -201,6 +201,12 @@ def test_model_rollout_matches_per_gate_stepping():
 # the unfused cell graph: the oracle of the model's fused layer step
 
 
+def sigmoid(a):
+    """The logistic as a node of its own, exact for very negative inputs."""
+    y = ad._sigmoid_values(a.data)
+    return ad.node(y, (a,), lambda g: (g * y * (1.0 - y),))
+
+
 def unfused_draw(mu, rho, rng):
     return ad.add(mu, ad.hadamard(ad.softplus(rho), ad.constant(rng.standard_normal(mu.shape))))
 
@@ -230,7 +236,7 @@ def unfused_run_stack(model, x, state, sampled):
     for l, (kx, kh, bias) in enumerate(sampled):
         h_prev, c_prev = state[l]
         pre = ad.add(ad.conv2d(x, kx, bias), ad.conv2d(h_prev, kh, None))
-        i, f, o = (ad.sigmoid(ad.slice0(pre, j * hidden, (j + 1) * hidden)) for j in range(3))
+        i, f, o = (sigmoid(ad.slice0(pre, j * hidden, (j + 1) * hidden)) for j in range(3))
         g = ad.tanh(ad.slice0(pre, 3 * hidden, 4 * hidden))
         c = ad.add(ad.hadamard(f, c_prev), ad.hadamard(i, g))
         x = ad.hadamard(o, ad.tanh(c))
@@ -384,17 +390,17 @@ def test_sample_next_point_threshold_semantics():
     rng = np.random.default_rng(12)
     v = rng.uniform(0.1, 1.0, (5, 5))
     m = ProbMap(np.maximum(v / v.sum(), EPS), GridSpec(5, 5))
-    peak = map_argmax(m)
+    x, y = peak(m.values)
     # the argmax pixel survives every threshold; th = 1 keeps only max-tied pixels
     for th in (0.3, 0.7, 1.0):
         mask = m.values >= th * m.values.max()
-        assert mask[int(peak.y), int(peak.x)]
+        assert mask[y, x]
     for _ in range(50):
         p = sample_next_point(m, 1.0, rng)
-        assert (p.x, p.y) == (peak.x, peak.y)
+        assert (p.x, p.y) == (x, y)
     # absolute mode above the maximum falls back to the argmax pixel
     p = sample_next_point(m, 0.9, rng, mode="absolute")
-    assert (p.x, p.y) == (peak.x, peak.y)
+    assert (p.x, p.y) == (x, y)
 
 
 def test_rollout_prefix_and_determinism():

@@ -10,8 +10,8 @@ import pytest
 from scanpath import training
 from scanpath.core import GridSpec
 from scanpath.data_io import preprocess, read_checkpoint, synth_dataset
-from scanpath.errors import ConfigMismatchError, NumericalError, ParameterError
-from scanpath.losses import CenterPrior, LossConfig, lambda_schedule, pairwise_cost
+from scanpath.errors import ConfigMismatchError, DataError, NumericalError, ParameterError
+from scanpath.losses import CenterPrior, LossConfig, kl_dtw_loss, lambda_schedule, pairwise_cost
 from scanpath.model import ModelConfig
 from scanpath.training import TrainConfig, init_state, train, train_step
 from test_losses import brute_soft_min, enumerate_path_costs
@@ -61,7 +61,7 @@ def test_train_step_loss_matches_independent_assembly():
     state2 = init_state(cfg)
     feat = state2.model.feature_stack(image=ex.image)
     frames = state2.model.rollout_training(
-        feat, replay, input_maps=ex.spatialized[anchor].maps[:2]
+        feat, replay, input_maps=ex.spatialized[anchor][:2]
     )
     pred = [f.data for f in frames]
     prior = CenterPrior.for_grid(cfg.model.grid, cfg.loss.sigma)
@@ -69,8 +69,8 @@ def test_train_step_loss_matches_independent_assembly():
     for spat in ex.spatialized:
         delta = np.array(
             [
-                [pairwise_cost(pred[i], spat.maps[j].values, lambda_schedule(i, cfg.loss), prior)
-                 for j in range(spat.n)]
+                [pairwise_cost(pred[i], spat[j], lambda_schedule(i, cfg.loss), prior)
+                 for j in range(len(spat))]
                 for i in range(len(pred))
             ]
         )
@@ -90,15 +90,15 @@ def test_train_step_with_schedule_matches_oracle():
     anchor = int(replay.integers(len(ex.scanpaths)))
     state2 = init_state(cfg)
     feat = state2.model.feature_stack(image=ex.image)
-    frames = state2.model.rollout_training(feat, replay, input_maps=ex.spatialized[anchor].maps[:2])
+    frames = state2.model.rollout_training(feat, replay, input_maps=ex.spatialized[anchor][:2])
     pred = [f.data for f in frames]
     prior = CenterPrior.for_grid(cfg.model.grid, cfg.loss.sigma)
     terms = []
     for spat in ex.spatialized:
         delta = np.array(
             [
-                [pairwise_cost(pred[i], spat.maps[j].values, lambda_schedule(i, cfg.loss), prior)
-                 for j in range(spat.n)]
+                [pairwise_cost(pred[i], spat[j], lambda_schedule(i, cfg.loss), prior)
+                 for j in range(len(spat))]
                 for i in range(len(pred))
             ]
         )
@@ -125,9 +125,15 @@ def test_spatialized_truth_holds_only_its_maps_after_train_steps():
     state = init_state(cfg)
     for ex in prepared * 2:
         train_step(ex, state, cfg)
+    grid = cfg.model.grid
+    uniform = [np.full((grid.height, grid.width), 1.0 / (grid.width * grid.height))] * cfg.model.n_fixations
     for ex in prepared:
-        for spat in ex.spatialized:
-            assert list(vars(spat)) == ["maps"]  # no per-scanpath cache of log maps
+        truth = ex.spatialized
+        kept = [spat.copy() for spat in truth]
+        kl_dtw_loss(uniform, truth, cfg.loss, grid)
+        for spat, want in zip(truth, kept, strict=True):
+            # a plain map stack, which the loss reads and does not log in place
+            assert type(spat) is np.ndarray and spat.tobytes() == want.tobytes()
 
 
 def test_train_zero_steps_writes_initial_checkpoint_only(tmp_path):
@@ -200,6 +206,24 @@ def test_an_example_prepared_for_another_grid_or_sigma_creates_no_output_directo
     with pytest.raises(ConfigMismatchError, match=f"prepared for a {grid.width}x{grid.height} grid at sigma {sigma}"):
         train(prepared + other, cfg, tmp_path / "run")
     assert not (tmp_path / "run").exists()
+
+
+def _other_examples(cfg, n_fix):
+    return preprocess(synth_dataset(1, 3, 1, cfg.model.grid, np.random.default_rng(1)), cfg.model.grid,
+                      n_fix=n_fix, sigma=cfg.model.sigma, min_len=1)
+
+
+@pytest.mark.parametrize("make, error, match", [
+    (lambda cfg: _other_examples(cfg, 1), ConfigMismatchError, "scanpath of 1 fixations, the model needs 3"),
+    (lambda cfg: _other_examples(cfg, 4), ConfigMismatchError, "scanpath of 4 fixations, the model needs 3"),
+    (lambda cfg: [replace(ex, scanpaths=()) for ex in _other_examples(cfg, 3)], DataError, "has no scanpaths"),
+], ids=["shorter", "longer", "empty"])
+def test_an_example_of_another_length_or_without_scanpaths_writes_nothing(tmp_path, make, error, match):
+    prepared, cfg = toy_setup()
+    with pytest.raises(error, match=match):
+        train(prepared + make(cfg), cfg, tmp_path / "run")
+    assert not (tmp_path / "run" / "checkpoint_000000.spck").exists()
+    assert not (tmp_path / "run" / "loss_log.csv").exists()
 
 
 TRAIN_SCRIPT = """
