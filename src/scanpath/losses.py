@@ -10,8 +10,9 @@ One soft-DTW program, vectorised over a stack of cost matrices, serves both
 back through the kept soft-min weights (Cuturi & Blondel 2017, Alg. 2), so the
 loss is one autodiff node whatever the number and length of the sequences.
 
-All operations accept either plain arrays (metric/evaluation use) or autodiff
-tensors (training use) and return the matching kind.
+Every loss computes once, on autodiff tensors. Plain arrays and floats
+(metric/evaluation use) enter as constants; a call given no tensor returns the
+result's float, and a call given any tensor the result tensor (training use).
 """
 
 from __future__ import annotations
@@ -63,13 +64,16 @@ class CenterPrior:
         return cls(gaussian_map(GazePoint(cx, cy), grid, sigma))
 
 
-def _values_of(p):
-    """Raw array for ProbMap/ndarray inputs, pass tensors through."""
-    if isinstance(p, Tensor):
-        return p
-    if isinstance(p, ProbMap):
-        return p.values
-    return np.asarray(p, dtype=np.float64)
+def _tensor(x) -> Tensor:
+    """x itself when it is a tensor, else a constant of its values (a ProbMap's, an array's or a float's)."""
+    if isinstance(x, Tensor):
+        return x
+    return ad.constant(x.values if isinstance(x, ProbMap) else x)
+
+
+def _matching(result: Tensor, args):
+    """result when any of args is a tensor, else its float."""
+    return result if any(isinstance(a, Tensor) for a in args) else result.item()
 
 
 def kl_div(p, q):
@@ -78,18 +82,10 @@ def kl_div(p, q):
     Either side may be an autodiff tensor, in which case the result is a
     scalar tensor differentiable in the tensor arguments.
     """
-    pv, qv = _values_of(p), _values_of(q)
-    pshape = pv.shape if not isinstance(pv, Tensor) else pv.data.shape
-    qshape = qv.shape if not isinstance(qv, Tensor) else qv.data.shape
-    if pshape != qshape:
-        raise ShapeError(f"kl_div: shape {pshape} vs {qshape}")
-    if isinstance(pv, Tensor) or isinstance(qv, Tensor):
-        pt = pv if isinstance(pv, Tensor) else ad.constant(pv)
-        qt = qv if isinstance(qv, Tensor) else ad.constant(qv)
-        return ad.tsum(ad.hadamard(pt, ad.sub(ad.tlog(pt), ad.tlog(qt))))
-    if np.any(pv <= 0) or np.any(qv <= 0):
-        raise ParameterError("kl_div needs strictly positive entries")
-    return float(np.sum(pv * (np.log(pv) - np.log(qv))))
+    pt, qt = _tensor(p), _tensor(q)
+    if pt.shape != qt.shape:
+        raise ShapeError(f"kl_div: shape {pt.shape} vs {qt.shape}")
+    return _matching(ad.tsum(ad.hadamard(pt, ad.sub(ad.tlog(pt), ad.tlog(qt)))), (p, q))
 
 
 def _soft_min_rows(a: np.ndarray, gamma: float) -> np.ndarray:
@@ -102,7 +98,7 @@ def _stack_scalars(values) -> Tensor:
     """One 1-D tensor from single-entry tensors and floats, differentiable in each."""
     parts = []
     for v in values:
-        t = v if isinstance(v, Tensor) else ad.constant(v)
+        t = _tensor(v)
         if t.data.size != 1:
             raise ShapeError(f"expected a scalar entry, got shape {t.data.shape}")
         parts.append(ad.reshape(t, (1,)))
@@ -115,12 +111,10 @@ def soft_min(values, gamma: float):
     if not values:
         raise ParameterError("soft_min of an empty collection")
     _check_positive("gamma", gamma)
-    if any(isinstance(v, Tensor) for v in values):
-        x = _stack_scalars(values)
-        shift = float(x.data.min())  # max of -x / gamma, held constant
-        scaled = ad.scalar_mul(ad.sub(x, ad.constant(np.full(x.shape, shift))), -1.0 / gamma)
-        return ad.add(ad.scalar_mul(ad.tlog(ad.tsum(ad.texp(scaled))), -gamma), ad.constant(shift))
-    return float(_soft_min_rows(np.asarray(values, dtype=np.float64), gamma))
+    x = _stack_scalars(values)
+    shift = float(x.data.min())  # max of -x / gamma, held constant
+    scaled = ad.scalar_mul(ad.sub(x, ad.constant(np.full(x.shape, shift))), -1.0 / gamma)
+    return _matching(ad.add(ad.scalar_mul(ad.tlog(ad.tsum(ad.texp(scaled))), -gamma), ad.constant(shift)), values)
 
 
 def _soft_dtw_dp(D: np.ndarray, gamma: float):
@@ -162,24 +156,20 @@ def soft_dtw(delta, gamma: float):
     differentiable in every entry.
     """
     _check_positive("gamma", gamma)
+    args = [delta]
     if not isinstance(delta, (np.ndarray, Tensor)):
         rows = [list(r) for r in delta]
         if any(len(r) != len(rows[0]) for r in rows):
             raise ShapeError("soft_dtw cost matrix rows have unequal lengths")
-        flat = [v for r in rows for v in r]
-        if any(isinstance(v, Tensor) for v in flat):
-            delta = ad.reshape(_stack_scalars(flat), (len(rows), len(rows[0])))
-        else:
-            delta = np.array(rows, dtype=np.float64)
-    data = delta.data if isinstance(delta, Tensor) else np.asarray(delta, dtype=np.float64)
-    if data.ndim != 2 or data.size == 0:
+        args = [v for r in rows for v in r]
+        delta = ad.reshape(_stack_scalars(args), (len(rows), len(rows[0]))) if args else np.zeros((len(rows), 0))
+    d = _tensor(delta)
+    if d.data.ndim != 2 or d.data.size == 0:
         raise ParameterError("soft_dtw needs a nonempty 2-D cost matrix")
-    if not np.isfinite(data).all():
+    if not np.isfinite(d.data).all():
         raise ParameterError("soft_dtw cost entries must be finite")
-    R, W = _soft_dtw_dp(data[None], gamma)
-    if not isinstance(delta, Tensor):
-        return float(R[0])
-    return ad.node(R[0], (delta,), lambda g: (g * _soft_dtw_alignment(W)[0],))
+    R, W = _soft_dtw_dp(d.data[None], gamma)
+    return _matching(ad.node(R[0], (d,), lambda g: (g * _soft_dtw_alignment(W)[0],)), args)
 
 
 def lambda_schedule(t: float, cfg: LossConfig) -> float:
@@ -195,18 +185,13 @@ def pairwise_cost(r_i, g_j, lam: float, prior: CenterPrior):
     The regularizer grows as the prediction approaches the center prior,
     discouraging predictions that park on the image center.
     """
-    if lam < 0:
-        raise ParameterError("lambda must be nonnegative")
-    base = kl_div(r_i, g_j)
-    if lam == 0:
-        return base
-    denom = kl_div(r_i, prior.g_c)
-    if isinstance(base, Tensor) or isinstance(denom, Tensor):
-        denom_t = denom if isinstance(denom, Tensor) else ad.constant(denom)
-        reg = ad.recip(ad.clamp_min(denom_t, REG_KL_FLOOR))
-        base_t = base if isinstance(base, Tensor) else ad.constant(base)
-        return ad.add(base_t, ad.scalar_mul(reg, lam))
-    return base + lam / max(denom, REG_KL_FLOOR)
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ParameterError(f"lambda must be finite and nonnegative, got {lam}")
+    r = _tensor(r_i)
+    cost = kl_div(r, g_j)
+    if lam > 0:
+        cost = ad.add(cost, ad.scalar_mul(ad.recip(ad.clamp_min(kl_div(r, prior.g_c), REG_KL_FLOOR)), lam))
+    return _matching(cost, (r_i, g_j))
 
 
 def _truth_stack(group, grid: GridSpec, sigma: float) -> np.ndarray:
@@ -218,29 +203,28 @@ def _truth_stack(group, grid: GridSpec, sigma: float) -> np.ndarray:
                     dtype=np.float64)
 
 
-def kl_dtw_loss(pred_maps, truth, cfg: LossConfig, grid: GridSpec | None = None):
+def kl_dtw_loss(pred_maps, truth, cfg: LossConfig, grid: GridSpec):
     """Mean soft-DTW alignment cost of the prediction against every scanpath.
 
     pred_maps: predicted per-step maps (tensors during training); truth: the
     image's ground-truth scanpaths, each a raw Scanpath or its [N, H, W] map
-    stack (what spatialize returns: positive and finite) on the predictions'
-    grid. The center-bias weight for row i follows lambda_schedule(i), the
-    fixation's time index.
+    stack (what spatialize returns: positive and finite); grid: the grid of
+    every predicted and ground-truth map, required. The center-bias weight for
+    row i follows lambda_schedule(i), the fixation's time index.
 
     The cost matrices are assembled from shared per-prediction subterms
     (sum P log P and the center regularizer are independent of the ground
     truth), which is algebraically identical to calling pairwise_cost per pair.
     Scanpaths of equal length share one cost stack and one dynamic program.
     """
-    pred_maps = [_values_of(p) for p in pred_maps]
-    if not pred_maps:
+    pred_maps = list(pred_maps)
+    preds = [_tensor(p) for p in pred_maps]
+    if not preds:
         raise ParameterError("prediction sequence is empty")
     if not truth:
         raise ParameterError("ground-truth scanpath set is empty")
-    arrays = [p.data if isinstance(p, Tensor) else p for p in pred_maps]
+    arrays = [p.data for p in preds]
     shape = arrays[0].shape
-    if grid is None:
-        grid = GridSpec(width=shape[1], height=shape[0])
     by_length: dict[int, list] = {}
     for s in truth:
         stack = isinstance(s, np.ndarray) and s.ndim == 3 and len(s) > 0
@@ -272,9 +256,6 @@ def kl_dtw_loss(pred_maps, truth, cfg: LossConfig, grid: GridSpec | None = None)
         R, W = _soft_dtw_dp(D, cfg.gamma)
         weights.append(W)
         total += R.sum()
-    value = total / len(truth)
-    if not any(isinstance(p, Tensor) for p in pred_maps):
-        return float(value)
 
     def vjp(g):
         scale = float(np.asarray(g).reshape(())) / len(truth)
@@ -287,5 +268,4 @@ def kl_dtw_loss(pred_maps, truth, cfg: LossConfig, grid: GridSpec | None = None)
         grad += row_weight[:, None] * (log_p + 1.0) + (row_weight * reg_slope)[:, None] * (log_p + 1.0 - log_gc)
         return tuple(row.reshape(shape) for row in grad)
 
-    preds = [p if isinstance(p, Tensor) else ad.constant(p) for p in pred_maps]
-    return ad.node(np.asarray(value), preds, vjp)
+    return _matching(ad.node(np.asarray(total / len(truth)), preds, vjp), pred_maps)

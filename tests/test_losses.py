@@ -1,9 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scanpath import autodiff as ad
+from scanpath import losses
 from scanpath.core import EPS, GazePoint, GridSpec, Scanpath, gaussian_map, smooth_and_normalize, spatialize
 from scanpath.data_io import preprocess, synth_dataset
 from scanpath.errors import ParameterError, ShapeError
@@ -386,6 +389,17 @@ def test_pairwise_cost_corner_regularizer():
     assert abs(got - expected_reg) < 1e-12
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1e-3])
+def test_pairwise_cost_rejects_a_lambda_that_is_not_finite_and_nonnegative(lam):
+    grid = GridSpec(8, 8)
+    prior = CenterPrior.for_grid(grid, 1.0)
+    r = gaussian_map(GazePoint(1, 1), grid, 1.0)
+    g = gaussian_map(GazePoint(5, 6), grid, 1.0)
+    for args in ((r, g), (ad.constant(r.values), g)):
+        with pytest.raises(ParameterError):
+            pairwise_cost(*args, lam, prior)
+
+
 def test_pairwise_cost_clamped_at_prior():
     grid = GridSpec(8, 8)
     prior = CenterPrior.for_grid(grid, 1.0)
@@ -657,3 +671,63 @@ def test_kl_dtw_loss_graph_size_independent_of_shape():
         added.add(len(graph_ids([loss]) - graph_ids(frames)))
     assert len(added) == 1
     assert added.pop() <= 2
+
+
+# ---------------------------------------------------------------------------
+# one arithmetic per loss: a plain call runs the tensor code and returns its float
+
+
+def test_plain_calls_equal_the_tensor_calls_bit_for_bit():
+    """A call on arrays and floats returns a float equal to the .item() of the same call on ad.constant-wrapped
+    arguments, which returns a tensor; a generator of maps works as kl_dtw_loss's predictions."""
+    for case in range(200):
+        rng = np.random.default_rng(case)
+        grid = GridSpec(*(int(n) for n in rng.integers(2, 7, 2)))
+        n_maps = int(rng.integers(1, 5))
+        logits = rng.normal(size=(n_maps + 1, grid.height, grid.width)) * rng.choice([0.1, 1.0, 5.0])
+        maps = [np.exp(l) / np.exp(l).sum() for l in logits]
+        gamma = float(rng.choice([1e-3, 0.1, 0.7, 10.0]))
+        lam = float(rng.choice([0.0, 1e-3, 0.05, 2.0]))
+        prior = CenterPrior.for_grid(grid, float(rng.uniform(0.5, 3.0)))
+        values = rng.uniform(-3, 3, int(rng.integers(1, 7))) * rng.choice([1e-3, 1.0, 100.0])
+        delta = rng.uniform(0, 5, tuple(rng.integers(1, 6, 2)))
+        truth = [Scanpath(tuple(GazePoint(rng.uniform(0, grid.width), rng.uniform(0, grid.height), i)
+                                for i in range(int(rng.integers(1, 5)))), "img", f"o{k}")
+                 for k in range(int(rng.integers(1, 4)))]
+        cfg = LossConfig(gamma=gamma, lambda_base=lam, lambda_slope=float(rng.choice([0.0, 0.05])), sigma=1.0)
+        p, q = maps[0], maps[-1]
+        calls = {
+            "kl_div": (kl_div, (p, q), (ad.constant(p), ad.constant(q))),
+            "soft_min": (soft_min, (values.tolist(), gamma), ([ad.constant(v) for v in values], gamma)),
+            "pairwise_cost": (pairwise_cost, (p, q, lam, prior), (ad.constant(p), ad.constant(q), lam, prior)),
+            "soft_dtw": (soft_dtw, (delta, gamma), (ad.constant(delta), gamma)),
+            "soft_dtw/rows": (soft_dtw, (delta.tolist(), gamma),
+                              ([[ad.constant(v) for v in row] for row in delta], gamma)),
+            "kl_dtw_loss": (kl_dtw_loss, (maps[:n_maps], truth, cfg, grid),
+                            ([ad.constant(m) for m in maps[:n_maps]], truth, cfg, grid)),
+            "kl_dtw_loss/generator": (kl_dtw_loss, ((m for m in maps[:n_maps]), truth, cfg, grid),
+                                      ((ad.constant(m) for m in maps[:n_maps]), truth, cfg, grid)),
+        }
+        for name, (fn, plain_args, tensor_args) in calls.items():
+            plain, tensor = fn(*plain_args), fn(*tensor_args)
+            assert type(plain) is float and isinstance(tensor, ad.Tensor), (case, name)
+            assert plain == tensor.item(), (case, name)
+
+
+def own_returns(fn: ast.FunctionDef) -> int:
+    """The return statements of fn itself, not of the functions defined inside it."""
+    count, stack = 0, list(fn.body)
+    while stack:
+        node = stack.pop()
+        count += isinstance(node, ast.Return)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return count
+
+
+def test_each_loss_has_one_return_so_no_plain_branch_beside_the_tensor_one():
+    assert own_returns(ast.parse("def f(x):\n if x:\n  return 1\n def g():\n  return 2\n return g\n").body[0]) == 2
+    tree = ast.parse(Path(losses.__file__).read_text(encoding="utf-8"))
+    found = {fn.name: own_returns(fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    names = ("kl_div", "soft_min", "pairwise_cost", "soft_dtw", "kl_dtw_loss")
+    assert {name: found[name] for name in names} == dict.fromkeys(names, 1)
