@@ -1,7 +1,9 @@
 """Command-line surface: train, predict, complete, evaluate, saliency, synth.
 
-Every command reads a flat key=value run config, writes a manifest and a full
-config echo into its output directory, and is deterministic given --seed.
+`main` loads each command's flat key=value run config, applies the --seed and
+--th overrides, runs the command and maps its errors to exit codes. Every
+command writes a manifest and a full config echo into its output directory,
+and is deterministic given --seed.
 The keys come from the configs they feed: the grid size, ModelConfig's
 hyperparameters, LossConfig, TrainConfig's scalars and MetricConfig (image
 sizes and the recurrence radius are floats, and 0, their default, means
@@ -127,19 +129,12 @@ def _prepare_out(args, rc: RunConfig, inputs: dict) -> Path:
         f"package_version={__version__}",
         f"numpy_version={np.__version__}",
         f"argv={' '.join(args.raw_argv)}",
+        f"input_config={args.config}",
     ]
     for key, value in inputs.items():
         lines.append(f"input_{key}={value}")
     write_atomic(out / "manifest.txt", [("\n".join(lines) + "\n").encode("utf-8")])
     return out
-
-
-def _apply_overrides(rc: RunConfig, args) -> RunConfig:
-    if getattr(args, "seed", None) is not None:
-        rc = replace(rc, seed=args.seed)
-    if getattr(args, "th", None) is not None:
-        rc = replace(rc, th=args.th)
-    return rc
 
 
 def _require_positive(flag: str, value: int) -> None:
@@ -163,8 +158,7 @@ def _load_dataset(rc: RunConfig, override_csv=None, model_inputs=True):
 # commands
 
 
-def cmd_train(args) -> int:
-    rc = _apply_overrides(load_run_config(args.config), args)
+def cmd_train(args, rc: RunConfig) -> None:
     dataset = _load_dataset(rc)
     cfg = train_config(rc)
     prepared = preprocess(dataset, cfg.model.grid, n_fix=rc.n_fixations, sigma=rc.sigma,
@@ -172,10 +166,9 @@ def cmd_train(args) -> int:
     # the config, the checkpoint to resume from and every image's grid, sigma and feature input are checked before
     # anything is written
     check_inputs((init_state(cfg) if args.resume is None else resume_state(args.resume, cfg)).model, prepared)
-    out = _prepare_out(args, rc, {"config": args.config, "dataset": rc.dataset_csv})
+    out = _prepare_out(args, rc, {"dataset": rc.dataset_csv})
     final, log = train(prepared, cfg, out, resume_from=args.resume)
     print(f"trained {len(log)} steps; final checkpoint: {final}")
-    return 0
 
 
 def _sampling_setup(args, rc: RunConfig):
@@ -185,14 +178,12 @@ def _sampling_setup(args, rc: RunConfig):
     grid = model.cfg.grid
     feats = [model.feature_stack(image=None if rec.pixels is None else resample_to_grid(rec.pixels, grid),
                                  precomputed=rec.features) for rec in dataset.images]
-    out = _prepare_out(args, rc, {"config": args.config, "checkpoint": args.checkpoint,
-                                  "dataset": args.dataset or rc.dataset_csv})
+    out = _prepare_out(args, rc, {"checkpoint": args.checkpoint, "dataset": args.dataset or rc.dataset_csv})
     return model, dataset, out, feats
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args, rc: RunConfig) -> None:
     _require_positive("--count", args.count)
-    rc = _apply_overrides(load_run_config(args.config), args)
     model, dataset, out, feats = _sampling_setup(args, rc)
     rng = np.random.default_rng(rc.seed)
     generated = []
@@ -208,12 +199,10 @@ def cmd_predict(args) -> int:
                 write_feature_tensor(tdir / f"{rec.image_id}_{c:03d}.ftns", stack)
     save_scanpath_csv(generated, out / "predicted.csv")
     print(f"wrote {len(generated)} scanpaths to {out / 'predicted.csv'}")
-    return 0
 
 
-def cmd_complete(args) -> int:
+def cmd_complete(args, rc: RunConfig) -> None:
     _require_positive("--repeats", args.repeats)
-    rc = _apply_overrides(load_run_config(args.config), args)
     if not (1 <= args.prefix_len <= rc.n_fixations - 1):
         raise ParameterError(
             f"--prefix-len must be in [1, {rc.n_fixations - 1}] for N={rc.n_fixations}, got {args.prefix_len}")
@@ -234,11 +223,9 @@ def cmd_complete(args) -> int:
                                            observer_id=f"{s.observer_id}_c{r:02d}"))
     save_scanpath_csv(completions, out / "completions.csv")
     print(f"wrote {len(completions)} completions to {out / 'completions.csv'}")
-    return 0
 
 
-def cmd_evaluate(args) -> int:
-    rc = _apply_overrides(load_run_config(args.config), args)
+def cmd_evaluate(args, rc: RunConfig) -> None:
     predicted = load_scanpath_dataset(args.predicted).scanpaths
     truth = load_scanpath_dataset(args.truth).scanpaths
     for path, paths in ((args.predicted, predicted), (args.truth, truth)):
@@ -266,12 +253,10 @@ def cmd_evaluate(args) -> int:
         for image_id, paths in by_image.items():
             rand.extend(random_baseline(grid, rc.n_fixations, len(paths), rng, image_id=image_id))
         reports["random_baseline.csv"] = evaluate_set(rand, truth, cfg)
-    out = _prepare_out(args, rc, {"config": args.config, "predicted": args.predicted,
-                                  "truth": args.truth})
+    out = _prepare_out(args, rc, {"predicted": args.predicted, "truth": args.truth})
     for name, report in reports.items():
         write_report_csv(report, out / name)
     print(f"wrote {out / 'report.csv'}")
-    return 0
 
 
 def aggregate_heatmap(paths, grid: GridSpec, sigma: float, native_w, native_h) -> np.ndarray:
@@ -280,10 +265,9 @@ def aggregate_heatmap(paths, grid: GridSpec, sigma: float, native_w, native_h) -
     return gaussian_maps(xy, grid, sigma).sum(axis=0)
 
 
-def cmd_saliency(args) -> int:
-    rc = _apply_overrides(load_run_config(args.config), args)
+def cmd_saliency(args, rc: RunConfig) -> None:
     dataset = _load_dataset(rc, args.scanpaths, model_inputs=False)
-    out = _prepare_out(args, rc, {"config": args.config, "scanpaths": args.scanpaths or rc.dataset_csv})
+    out = _prepare_out(args, rc, {"scanpaths": args.scanpaths or rc.dataset_csv})
     grid = GridSpec(rc.grid_width, rc.grid_height)
     by_image = group_by_image(dataset.scanpaths)
     for rec in dataset.images:
@@ -291,14 +275,12 @@ def cmd_saliency(args) -> int:
         img = np.round(heat / heat.max() * 255.0).astype(np.uint8)
         write_pgm(out / f"{rec.image_id}.pgm", img)
     print(f"wrote {len(dataset.images)} heatmaps to {out}")
-    return 0
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, rc: RunConfig) -> None:
     for flag, count in (("--images", args.images), ("--observers", args.observers), ("--rois", args.rois)):
         _require_positive(flag, count)
-    rc = _apply_overrides(load_run_config(args.config), args)
-    out = _prepare_out(args, rc, {"config": args.config})
+    out = _prepare_out(args, rc, {})
     grid = GridSpec(rc.grid_width, rc.grid_height)
     rng = np.random.default_rng(rc.seed)
     ds = synth_dataset(args.images, args.observers, args.rois, grid, rng)
@@ -306,7 +288,6 @@ def cmd_synth(args) -> int:
     for rec in ds.images:
         write_pgm(out / f"{rec.image_id}.pgm", rec.pixels)
     print(f"wrote {len(ds.scanpaths)} scanpaths over {len(ds.images)} images to {out}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scanpath", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p):
         p.add_argument("--config", required=True, help="run config file (key=value lines)")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
+
+    def sampling(p):
+        p.add_argument("--checkpoint", required=True, help="checkpoint to sample from")
+        p.add_argument("--dataset", default=None, help="scanpath CSV (defaults to config dataset_csv)")
+        p.add_argument("--th", type=float, default=None, help="override the config sampling threshold")
 
     p = sub.add_parser("train", help="train a model")
     common(p)
@@ -330,20 +315,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="sample scanpaths from a checkpoint")
     common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", default=None, help="test scanpath CSV (defaults to config dataset_csv)")
+    sampling(p)
     p.add_argument("--count", type=int, default=10, help="rollouts per image")
-    p.add_argument("--th", type=float, default=None, help="override sampling threshold")
     p.add_argument("--dump-tspm", action="store_true", help="write per-rollout map tensors")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("complete", help="complete ground-truth prefixes")
     common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", default=None)
+    sampling(p)
     p.add_argument("--prefix-len", type=int, required=True, dest="prefix_len")
     p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--th", type=float, default=None)
     p.set_defaults(func=cmd_complete)
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")
@@ -376,7 +357,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     args.raw_argv = argv
     try:
-        return args.func(args)
+        rc = load_run_config(args.config)
+        args.func(args, replace(rc, **{k: v for k in ("seed", "th") if (v := getattr(args, k, None)) is not None}))
+        return 0
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

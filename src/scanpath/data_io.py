@@ -3,7 +3,8 @@
 File formats (all little-endian, float64 payloads, bit-exact round trips):
   scanpath CSV     header `image_id,observer_id,fix_index,x,y`, one fixation
                    per row, rows of one scanpath contiguous with fix_index
-                   ascending from 0; coordinates in native image space
+                   ascending from 0; coordinates in native image space;
+                   an image id holds no '/', '\\' or NUL
   tensor record    u32 rank, rank u32 dims, f64 values in C order
   feature tensor   magic FTNS, one tensor record (rank >= 1, no zero dim)
   checkpoint       magic SPCK, u32 version, u32 count, then per tensor a
@@ -117,12 +118,19 @@ def _has_line_break(text: str) -> bool:
     return "".join(text.splitlines()) != text
 
 
+def _leaves_directory(image_id: str) -> bool:
+    """True when the id holds a path separator or NUL, so <dir>/<image_id>.pgm might name no file in <dir>."""
+    return any(c in image_id for c in "/\\\0")
+
+
 def save_scanpath_csv(scanpaths, path) -> None:
     lines = [SCANPATH_CSV_HEADER]
     for s in scanpaths:
         for name in (s.image_id, s.observer_id):  # refuse what the reader would split or strip
             if "," in name or _has_line_break(name) or name != name.strip():
                 raise ParameterError(f"id {name!r} has a comma, a line break or surrounding whitespace")
+        if _leaves_directory(s.image_id):
+            raise ParameterError(f"image id {s.image_id!r} holds '/', '\\' or NUL")
         for p in s.points:
             lines.append(f"{s.image_id},{s.observer_id},{p.index},{p.x!r},{p.y!r}")
     write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
@@ -156,6 +164,8 @@ def load_scanpath_dataset(path, images_dir=None, features_dir=None) -> Dataset:
         if len(parts) != 5:
             raise FormatError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
         image_id, observer_id, idx_s, x_s, y_s = (p.strip() for p in parts)
+        if _leaves_directory(image_id):
+            raise FormatError(f"{path}:{lineno}: image id {image_id!r} holds '/', '\\' or NUL")
         try:
             idx = int(idx_s)
             x = float(x_s)

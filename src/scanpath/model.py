@@ -154,7 +154,8 @@ class ScanpathModel:
 
         The trainable source runs three 3x3 convolutions with tanh between them
         over a grid-resolution image; the precomputed source takes the tensor
-        as given. The other input is ignored; a missing one raises DataError.
+        as given. The other input is ignored; a missing one, or a precomputed
+        tensor that holds NaN or inf, raises DataError.
         """
         cfg = self.cfg
         if cfg.feature_source == "precomputed":
@@ -164,6 +165,8 @@ class ScanpathModel:
             expected = (cfg.feature_channels, cfg.grid.height, cfg.grid.width)
             if feats.data.shape != expected:
                 raise ConfigMismatchError(f"feature tensor shape {feats.data.shape} != expected {expected}")
+            if not np.isfinite(feats.data).all():
+                raise DataError("precomputed feature tensor holds NaN or inf")
             return feats
         if image is None:
             raise DataError("feature_source=trainable needs image pixels")
@@ -409,7 +412,8 @@ def model_from_checkpoint(ckpt, expected: ModelConfig | None = None):
     """Rebuild a model (and Adam moments, rng state) from a checkpoint.
 
     Raises ConfigMismatchError when the stored hyperparameters disagree with
-    the expected configuration; the model samples with expected's SAMPLING_FIELDS.
+    the expected configuration, and FormatError when a parameter or Adam tensor
+    holds NaN or inf; the model samples with expected's SAMPLING_FIELDS.
     """
     from .autodiff import AdamState
 
@@ -453,6 +457,8 @@ def model_from_checkpoint(ckpt, expected: ModelConfig | None = None):
             if ckpt.tensors[name].shape != view.shape:
                 raise ConfigMismatchError(
                     f"tensor '{name}' has shape {ckpt.tensors[name].shape}, expected {view.shape}")
+            if not np.isfinite(ckpt.tensors[name]).all():
+                raise FormatError(f"checkpoint tensor '{name}' holds NaN or inf")
             view[...] = ckpt.tensors[name]
 
     return model, adam, step, rng

@@ -661,3 +661,87 @@ def test_saliency_and_evaluate_read_no_per_image_input(tmp_path, workspace):
     assert main(["saliency", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
     assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "e"), "--predicted", truth,
                  "--truth", truth]) == 0
+
+
+def manifest_inputs(out):
+    return [line for line in (out / "manifest.txt").read_text().splitlines() if line.startswith("input_")]
+
+
+def test_every_commands_manifest_lists_its_inputs_config_first(tmp_path, workspace):
+    cfg, ckpt, data = str(workspace["cfg"]), str(workspace["ckpt"]), workspace["data"]
+    csv = str(data / "dataset.csv")
+    copy = tmp_path / "copy.csv"
+    copy.write_bytes(Path(csv).read_bytes())
+    assert manifest_inputs(data) == [f"input_config={workspace['root'] / 'synth.cfg'}"]
+    assert manifest_inputs(workspace["train_out"]) == [f"input_config={cfg}", f"input_dataset={csv}"]
+    runs = {  # per command: its flags past --config and --out, then the input lines past input_config
+        "predict": (["--checkpoint", ckpt, "--count", "1"], [f"input_checkpoint={ckpt}", f"input_dataset={csv}"]),
+        "complete": (["--checkpoint", ckpt, "--prefix-len", "2", "--repeats", "1", "--dataset", str(copy)],
+                     [f"input_checkpoint={ckpt}", f"input_dataset={copy}"]),
+        "evaluate": (["--predicted", str(copy), "--truth", csv], [f"input_predicted={copy}", f"input_truth={csv}"]),
+        "saliency": ([], [f"input_scanpaths={csv}"]),
+    }
+    for command, (extra, inputs) in runs.items():
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out), *extra]) == 0, command
+        assert manifest_inputs(out) == [f"input_config={cfg}", *inputs], command
+    out = tmp_path / "saliency_of_copy"
+    assert main(["saliency", "--config", cfg, "--out", str(out), "--scanpaths", str(copy)]) == 0
+    assert manifest_inputs(out) == [f"input_config={cfg}", f"input_scanpaths={copy}"]
+
+
+def test_main_alone_loads_the_run_config_and_no_command_returns_a_value():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    loaders = [fn.name for fn in functions for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "load_run_config"]
+    assert loaders == ["main"]
+    commands = [fn for fn in functions if fn.name.startswith("cmd_")]
+    assert sorted(fn.name for fn in commands) == [f"cmd_{name}" for name in sorted(
+        ("train", "predict", "complete", "evaluate", "saliency", "synth"))]
+    for fn in commands:
+        assert [a.arg for a in fn.args.args] == ["args", "rc"], fn.name
+        assert not [node for node in ast.walk(fn) if isinstance(node, ast.Return) and node.value is not None], fn.name
+
+
+def test_an_image_id_that_would_leave_the_output_directory_exits_2_before_any_output(tmp_path, capsys):
+    csv = tmp_path / "in.csv"
+    csv.write_text("image_id,observer_id,fix_index,x,y\n../escaped,obs,0,1.0,2.0\n")
+    out = tmp_path / "out"
+    assert main(["saliency", "--config", str(write_cfg(tmp_path / "s.cfg")), "--out", str(out),
+                 "--scanpaths", str(csv)]) == 2
+    assert f"{csv}:2: image id '../escaped'" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "escaped.pgm").exists()
+
+
+def test_a_nonfinite_checkpoint_exits_2_before_any_output(tmp_path, workspace, capsys):
+    ckpt = read_checkpoint(workspace["ckpt"])
+    ckpt.tensors["head.kernel"] = np.full_like(ckpt.tensors["head.kernel"], np.nan)
+    bad = str(tmp_path / "nan.spck")
+    write_checkpoint(bad, ckpt)
+    runs = {"predict": ["--checkpoint", bad, "--count", "1"],
+            "complete": ["--checkpoint", bad, "--prefix-len", "2", "--repeats", "1"],
+            "train": ["--resume", bad]}
+    capsys.readouterr()
+    for command, extra in runs.items():
+        out = tmp_path / f"out_{command}"
+        assert main([command, "--config", str(workspace["cfg"]), "--out", str(out), *extra]) == 2, command
+        assert "checkpoint tensor 'head.kernel' holds NaN or inf" in capsys.readouterr().err, command
+        assert not out.exists(), command
+
+
+def test_a_nonfinite_feature_tensor_exits_2_before_any_output(tmp_path, workspace, precomputed_ckpt, capsys):
+    features = tmp_path / "f"
+    write_features(features, (2, 16, 16))
+    arr = read_feature_tensor(features / "synth001.ftns")
+    arr[1, 4, 7] = np.nan
+    write_feature_tensor(features / "synth001.ftns", arr)
+    cfg = precomputed_cfg(tmp_path / "nan.cfg", workspace, str(features))
+    runs = {"train": [], "predict": ["--checkpoint", precomputed_ckpt, "--count", "1"],
+            "complete": ["--checkpoint", precomputed_ckpt, "--prefix-len", "2", "--repeats", "1"]}
+    capsys.readouterr()
+    for command, extra in runs.items():
+        out = tmp_path / f"out_{command}"
+        assert main([command, "--config", cfg, "--out", str(out), *extra]) == 2, command
+        assert "precomputed feature tensor holds NaN or inf" in capsys.readouterr().err, command
+        assert not out.exists(), command

@@ -105,6 +105,18 @@ def test_csv_writer_rejects_ids_it_cannot_read_back(tmp_path, bad):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("bad", ["../escaped", "/abs", "a\\b", "a\x00b"])
+def test_image_ids_that_could_leave_a_directory_are_refused(tmp_path, bad):
+    with pytest.raises(ParameterError, match="image id"):
+        save_scanpath_csv([Scanpath((GazePoint(1.0, 2.0, 0),), bad, "obs")], tmp_path / "s.csv")
+    assert not (tmp_path / "s.csv").exists()
+    save_scanpath_csv([Scanpath((GazePoint(1.0, 2.0, 0),), "img", bad)], tmp_path / "s.csv")  # observer ids may
+    f = tmp_path / "ds.csv"
+    f.write_text(f"image_id,observer_id,fix_index,x,y\nimg,obs,0,1.0,2.0\n{bad},obs,0,1.0,2.0\n")
+    with pytest.raises(FormatError, match=f"{re.escape(str(f))}:3: image id"):
+        load_scanpath_dataset(f, images_dir=tmp_path)
+
+
 def test_csv_unknown_image_id(tmp_path):
     f = tmp_path / "ds.csv"
     f.write_text("image_id,observer_id,fix_index,x,y\nmissing,obs,0,1.0,2.0\n")
@@ -496,13 +508,14 @@ def test_checkpoint_fuzz_round_trip(tmp_path, tensors, hyper):
 def test_scanpath_csv_fuzz_round_trip(tmp_path, paths):
     written = [Scanpath(tuple(GazePoint(x, y, i) for i, (x, y) in enumerate(pts)), image_id, observer_id)
                for image_id, observer_id, pts in paths]
-    # the writer refuses an id the reader would split or strip; all else round-trips
+    # the writer refuses an id the reader would split or strip, and an image id with '/', '\\' or NUL; all else
+    # round-trips
     try:
         save_scanpath_csv(written, tmp_path / "s.csv")
     except ParameterError:
         ids = [(s.image_id, s.observer_id) for s in written]
         assert any(f"{a}|{b}".splitlines() != [f"{a}|{b}"] or any("," in i or i != i.strip() for i in (a, b))
-                   for a, b in ids)
+                   or any(c in a for c in "/\\\x00") for a, b in ids)
         return
     back = load_scanpath_dataset(tmp_path / "s.csv").scanpaths
     assert [(s.image_id, s.observer_id, s.coords().tobytes()) for s in back] == \

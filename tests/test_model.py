@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -76,6 +77,16 @@ def test_precomputed_feature_round_trip(tmp_path):
     write_feature_tensor(tmp_path / "imgB.ftns", rng.standard_normal((3, 8, 8)))
     with pytest.raises(ConfigMismatchError):
         model.feature_stack(precomputed=load_features(tmp_path, "imgB"))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_precomputed_features_holding_nan_or_inf_are_a_data_error(bad):
+    model = ScanpathModel.create(tiny_cfg(), np.random.default_rng(0))
+    arr = np.zeros((1, 8, 8))
+    arr[0, 3, 5] = bad
+    for precomputed in (arr, ad.constant(arr)):
+        with pytest.raises(DataError, match="NaN or inf"):
+            model.feature_stack(precomputed=precomputed)
 
 
 def test_trainable_stack_zero_image_gives_zero_features():
@@ -573,6 +584,22 @@ def test_checkpoint_round_trip_and_mismatch(tmp_path):
         model_from_checkpoint(read_checkpoint(path), expected=replace(cfg, sigma=2.0))
     # sampling-time knobs may differ from the checkpoint
     model_from_checkpoint(read_checkpoint(path), expected=replace(cfg, th=0.3, threshold_mode="absolute"))
+
+
+@pytest.mark.parametrize("name", ["head.kernel", "convlstm.l0.g.h.rho", "adam.m.head.bias", "adam.v.features.l1.kernel"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_checkpoint_tensor_holding_nan_or_inf_is_a_format_error(name, bad):
+    cfg = tiny_cfg(feature_source="trainable", feature_channels=2)
+    model = ScanpathModel.create(cfg, np.random.default_rng(0))
+    params = [t for _, t in model.parameters()]
+    adam = ad.AdamState(step=1, first_moment=[np.zeros(t.shape) for t in params],
+                        second_moment=[np.ones(t.shape) for t in params])
+    ckpt = model_to_checkpoint(model, adam=adam, step=1)
+    model_from_checkpoint(ckpt, expected=cfg)
+    ckpt.tensors[name] = ckpt.tensors[name].copy()
+    ckpt.tensors[name].flat[-1] = bad
+    with pytest.raises(FormatError, match=f"'{re.escape(name)}' holds NaN or inf"):
+        model_from_checkpoint(ckpt, expected=cfg)
 
 
 def test_checkpoint_read_against_a_config_samples_with_its_sampling_fields(tmp_path):

@@ -40,8 +40,8 @@ WRITERS = {
     "write_checkpoint": ("m.spck", lambda d: write_checkpoint(d / "m.spck", CHECKPOINT)),
     "write_report_csv": ("report.csv", lambda d: write_report_csv(REPORT, d / "report.csv")),
     "write_run_config": ("config.txt", lambda d: write_run_config(RunConfig(), d / "config.txt")),
-    "manifest": ("manifest.txt", lambda d: _prepare_out(Namespace(out=str(d), command="synth", raw_argv=["synth"]),
-                                                        RunConfig(), {"config": "run.cfg"})),
+    "manifest": ("manifest.txt", lambda d: _prepare_out(Namespace(out=str(d), command="synth", raw_argv=["synth"],
+                                                                  config="run.cfg"), RunConfig(), {})),
     "loss_log": ("loss_log.csv", train_no_steps),
 }
 
