@@ -351,9 +351,10 @@ def conv2d(x, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
 def _cell(pre: np.ndarray, act: np.ndarray, c_prev: Tensor, parents, pre_vjp, op: str) -> tuple[Tensor, Tensor]:
     """The ConvLSTM cell update on gate pre-activations `pre`, activated into `act` (which may be pre itself).
 
-    c is one node on (*parents, c_prev) and h one node on c alone. h's VJP writes the o rows of pre's gradient
-    into a new array and hands it to c's, which runs after it (c is h's only parent) and fills in the other
-    rows (into zeros when h got no gradient); it returns pre_vjp(that array) and gc * f for c_prev.
+    c is one node on (*parents, c_prev) and h one node on c alone; the graph keeps the activated gates, c and h.
+    h's VJP recomputes tanh(c) from c and writes the o rows of pre's gradient over the o gates; c's, which runs
+    after it (c is h's only parent), writes the i, f and g rows over theirs (and zeros over the o rows when h got
+    no gradient) and returns pre_vjp(act) and gc * f for c_prev.
     """
     n = c_prev.data.shape[0]
     if pre.shape != (4 * n, *c_prev.data.shape[1:]):
@@ -363,24 +364,30 @@ def _cell(pre: np.ndarray, act: np.ndarray, c_prev: Tensor, parents, pre_vjp, op
     i, f, o, g = act[:n], act[n:2 * n], act[2 * n:3 * n], act[3 * n:]
     c_val = f * c_prev.data
     c_val += i * g
-    tc = np.tanh(c_val)
-    handed = []
+    h_val = np.tanh(c_val)
+    h_val *= o
+    h_ran = False
 
     def c_vjp(gc):
-        gpre = handed.pop() if handed else np.zeros_like(act)
-        np.multiply(gc * g * i, 1.0 - i, out=gpre[:n])
-        np.multiply(gc * c_prev.data * f, 1.0 - f, out=gpre[n:2 * n])
-        np.multiply(gc * i, 1.0 - g * g, out=gpre[3 * n:])
-        return (*pre_vjp(gpre), gc * f)
+        g_prev = gc * f
+        gi = gc * g * i  # i and g each read the other's activation, so one product is taken before either is written
+        np.multiply(gc * i, 1.0 - g * g, out=g)
+        np.multiply(gi, 1.0 - i, out=i)
+        np.multiply(gc * c_prev.data * f, 1.0 - f, out=f)
+        if not h_ran:
+            o[...] = 0.0
+        return (*pre_vjp(act), g_prev)
 
     def h_vjp(gh):
-        gpre = np.empty_like(act)
-        np.multiply(gh * tc * o, 1.0 - o, out=gpre[2 * n:3 * n])
-        handed.append(gpre)
-        return (gh * o * (1.0 - tc * tc),)
+        nonlocal h_ran
+        tc = np.tanh(c_val)
+        gc = gh * o * (1.0 - tc * tc)
+        np.multiply(gh * tc * o, 1.0 - o, out=o)
+        h_ran = True
+        return (gc,)
 
     c = node(c_val, (*parents, c_prev), c_vjp)
-    return node(o * tc, (c,), h_vjp), c
+    return node(h_val, (c,), h_vjp), c
 
 
 def lstm_cell(pre: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
@@ -400,8 +407,9 @@ def convlstm_cell(x, kernel: Tensor, bias: Tensor | None, c_prev: Tensor) -> tup
 
     The gate pre-activations are activated in place and never become a node: c is one node on (x's blocks,
     kernel, bias, c_prev) whose VJP runs conv2d's on the gates' gradient, and h one node on c. The graph keeps
-    the activated gates, c, tanh(c) and h; under no_grad only c and h. As with conv2d, neither the blocks'
-    data nor kernel.data may be changed in place before backward().
+    the activated gates, c and h (h's VJP recomputes tanh(c), and the gates' gradient is written over the
+    gates); under no_grad only c and h. As with conv2d, neither the blocks' data nor kernel.data may be
+    changed in place before backward().
     """
     pre, parents, conv_vjp = _conv(x, kernel, bias, "convlstm_cell")
     return _cell(pre, pre, c_prev, parents, conv_vjp, "convlstm_cell")

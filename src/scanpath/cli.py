@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage error, 2 data/format or file-system error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import field, fields, make_dataclass, replace
 from pathlib import Path
@@ -120,7 +121,21 @@ def train_config(rc: RunConfig) -> TrainConfig:
     return TrainConfig(model=model_config(rc), loss=loss_config(rc), **scalars)
 
 
+# The environment variables that set the BLAS thread count, as the manifest lists them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_build() -> str:
+    """`<name> <version>` of the BLAS numpy was built against; `unknown` where numpy does not record it."""
+    try:
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (AttributeError, KeyError, TypeError):
+        return "unknown"
+
+
 def _prepare_out(args, rc: RunConfig, inputs: dict) -> Path:
+    """Create --out and write config.txt and manifest.txt; an input path that is None was not given and gets no line."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_run_config(rc, out / "config.txt")
@@ -128,11 +143,12 @@ def _prepare_out(args, rc: RunConfig, inputs: dict) -> Path:
         f"command={args.command}",
         f"package_version={__version__}",
         f"numpy_version={np.__version__}",
+        f"blas={_blas_build()}",
+        "blas_threads=" + " ".join(f"{var}={os.environ.get(var, '')}" for var in _BLAS_THREAD_VARS),
         f"argv={' '.join(args.raw_argv)}",
         f"input_config={args.config}",
     ]
-    for key, value in inputs.items():
-        lines.append(f"input_{key}={value}")
+    lines += [f"input_{key}={value}" for key, value in inputs.items() if value is not None]
     write_atomic(out / "manifest.txt", [("\n".join(lines) + "\n").encode("utf-8")])
     return out
 
@@ -166,7 +182,7 @@ def cmd_train(args, rc: RunConfig) -> None:
     # the config, the checkpoint to resume from and every image's grid, sigma and feature input are checked before
     # anything is written
     check_inputs((init_state(cfg) if args.resume is None else resume_state(args.resume, cfg)).model, prepared)
-    out = _prepare_out(args, rc, {"dataset": rc.dataset_csv})
+    out = _prepare_out(args, rc, {"dataset": rc.dataset_csv, "resume": args.resume})
     final, log = train(prepared, cfg, out, resume_from=args.resume)
     print(f"trained {len(log)} steps; final checkpoint: {final}")
 

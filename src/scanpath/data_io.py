@@ -190,7 +190,7 @@ def load_scanpath_dataset(path, images_dir=None, features_dir=None) -> Dataset:
         pixels = features = None
         if images_dir is not None:
             pgm = Path(images_dir) / f"{image_id}.pgm"
-            if not pgm.exists():
+            if not pgm.is_file():
                 raise DataError(f"unknown image_id '{image_id}': no {pgm}")
             pixels = read_pgm(pgm)
             height, width = pixels.shape

@@ -688,6 +688,27 @@ def test_every_commands_manifest_lists_its_inputs_config_first(tmp_path, workspa
     out = tmp_path / "saliency_of_copy"
     assert main(["saliency", "--config", cfg, "--out", str(out), "--scanpaths", str(copy)]) == 0
     assert manifest_inputs(out) == [f"input_config={cfg}", f"input_scanpaths={copy}"]
+    out = tmp_path / "resumed"
+    assert main(["train", "--config", cfg, "--out", str(out), "--resume", ckpt]) == 0
+    assert manifest_inputs(out) == [f"input_config={cfg}", f"input_dataset={csv}", f"input_resume={ckpt}"]
+
+
+def test_manifest_names_the_blas_build_and_its_thread_variables(tmp_path, workspace, monkeypatch):
+    cfg = str(workspace["cfg"])
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    for build in (f"{blas['name']} {blas['version']}", "unknown"):
+        if build == "unknown":  # as with a numpy that records no build configuration
+            monkeypatch.delattr(np.__config__, "CONFIG")
+        out = tmp_path / build.replace(" ", "_")
+        assert main(["saliency", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "manifest.txt").read_text().splitlines()
+        at = lines.index(f"numpy_version={np.__version__}")
+        assert lines[at + 1:at + 3] == [f"blas={build}",
+                                        "blas_threads=OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS= MKL_NUM_THREADS="]
+        assert lines[at + 3].startswith("argv=") and lines[at + 4] == f"input_config={cfg}"
 
 
 def test_main_alone_loads_the_run_config_and_no_command_returns_a_value():

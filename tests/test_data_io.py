@@ -124,6 +124,14 @@ def test_csv_unknown_image_id(tmp_path):
         load_scanpath_dataset(f, images_dir=tmp_path)
 
 
+def test_a_directory_named_as_an_image_file_is_a_data_error(tmp_path):
+    f = tmp_path / "ds.csv"
+    f.write_text("image_id,observer_id,fix_index,x,y\nimg,obs,0,1.0,2.0\n")
+    (tmp_path / "img.pgm").mkdir()
+    with pytest.raises(DataError, match=f"^unknown image_id 'img': no {re.escape(str(tmp_path / 'img.pgm'))}$"):
+        load_scanpath_dataset(f, images_dir=tmp_path)
+
+
 def test_loader_attaches_each_images_feature_tensor_and_preprocess_carries_it(tmp_path):
     csv = tmp_path / "ds.csv"
     save_scanpath_csv([Scanpath((GazePoint(1.0, 2.0, 0), GazePoint(3.0, 1.0, 1)), image_id, "o")

@@ -218,6 +218,20 @@ def sigmoid(a):
     return ad.node(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
+def gate_sigmoid(a):
+    """The fused cell's logistic, 0.5 + 0.5 * tanh(x / 2), as a node of its own."""
+    y = ad._gate_sigmoid(a.data)
+    return ad.node(y, (a,), lambda g: (g * y * (1.0 - y),))
+
+
+def unfused_cell(pre, c_prev, hidden, gate):
+    """(h, c) of one cell update as four slices, `gate` on the i, f and o rows, two tanh and four elementwise nodes."""
+    i, f, o = (gate(ad.slice0(pre, j * hidden, (j + 1) * hidden)) for j in range(3))
+    g = ad.tanh(ad.slice0(pre, 3 * hidden, 4 * hidden))
+    c = ad.add(ad.hadamard(f, c_prev), ad.hadamard(i, g))
+    return ad.hadamard(o, ad.tanh(c)), c
+
+
 def unfused_draw(mu, rho, rng):
     return ad.add(mu, ad.hadamard(ad.softplus(rho), ad.constant(rng.standard_normal(mu.shape))))
 
@@ -247,10 +261,7 @@ def unfused_run_stack(model, x, state, sampled):
     for l, (kx, kh, bias) in enumerate(sampled):
         h_prev, c_prev = state[l]
         pre = ad.add(ad.conv2d(x, kx, bias), ad.conv2d(h_prev, kh, None))
-        i, f, o = (sigmoid(ad.slice0(pre, j * hidden, (j + 1) * hidden)) for j in range(3))
-        g = ad.tanh(ad.slice0(pre, 3 * hidden, 4 * hidden))
-        c = ad.add(ad.hadamard(f, c_prev), ad.hadamard(i, g))
-        x = ad.hadamard(o, ad.tanh(c))
+        x, c = unfused_cell(pre, c_prev, hidden, sigmoid)
         state[l] = (x, c)
     return x
 
@@ -298,6 +309,31 @@ def test_train_step_matches_unfused_cell_oracle():
             assert max(abs(grads[name]).max(), abs(r).max()) <= 1e-12 * scale
         else:
             assert np.abs(grads[name] - r).max() <= 1e-12 * np.abs(r).max(), name
+
+
+@pytest.mark.parametrize("roots", ["c", "h", "both"])
+def test_layer_step_equals_unfused_cell_bit_for_bit(roots):
+    """convlstm_cell against the unfused cell on the same gate convolution and logistic, with backward() from c
+    alone (h's VJP never runs), from h alone or from both."""
+    rng = np.random.default_rng(95)
+    for height, width in ((1, 1), (5, 4), (8, 8)):
+        for n in (1, 3):
+            values = [rng.standard_normal(shape) for shape in ((2, height, width), (n, height, width),
+                                                               (4 * n, 2 + n, 3, 3), (4 * n,), (n, height, width))]
+            weights = [ad.constant(rng.standard_normal((n, height, width))) for _ in range(2)]
+
+            def run(fused):
+                x, hidden, kernel, bias, c_prev = (ad.parameter(v) for v in values)
+                if fused:
+                    h, c = ad.convlstm_cell([x, hidden], kernel, bias, c_prev)
+                else:
+                    h, c = unfused_cell(ad.conv2d([x, hidden], kernel, bias), c_prev, n, gate_sigmoid)
+                terms = [ad.tsum(ad.hadamard(t, w)) for t, w in zip((h, c), weights)]
+                ad.backward({"h": terms[0], "c": terms[1], "both": ad.add(*terms)}[roots])
+                return h.data, c.data, x.grad, hidden.grad, kernel.grad, bias.grad, c_prev.grad
+
+            got, want = run(True), run(False)
+            assert all(np.array_equal(a, e) for a, e in zip(got, want, strict=True))
 
 
 def layer_step_nodes(grid: GridSpec, hidden: int) -> int:
