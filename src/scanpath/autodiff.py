@@ -348,20 +348,20 @@ def conv2d(x, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     return node(*_conv(x, kernel, bias, "conv2d"))
 
 
-def _cell(pre: np.ndarray, act: np.ndarray, c_prev: Tensor, parents, pre_vjp, op: str) -> tuple[Tensor, Tensor]:
-    """The ConvLSTM cell update on gate pre-activations `pre`, activated into `act` (which may be pre itself).
+def _cell(pre: np.ndarray, c_prev: Tensor, parents, pre_vjp, op: str) -> tuple[Tensor, Tensor]:
+    """The ConvLSTM cell update on gate pre-activations `pre`, which it activates in place.
 
     c is one node on (*parents, c_prev) and h one node on c alone; the graph keeps the activated gates, c and h.
     h's VJP recomputes tanh(c) from c and writes the o rows of pre's gradient over the o gates; c's, which runs
     after it (c is h's only parent), writes the i, f and g rows over theirs (and zeros over the o rows when h got
-    no gradient) and returns pre_vjp(act) and gc * f for c_prev.
+    no gradient) and returns pre_vjp(pre) and gc * f for c_prev.
     """
     n = c_prev.data.shape[0]
     if pre.shape != (4 * n, *c_prev.data.shape[1:]):
         raise ShapeError(f"{op}: pre-activations {pre.shape} vs cell state {c_prev.data.shape}")
-    _gate_sigmoid(pre[:3 * n], out=act[:3 * n])
-    np.tanh(pre[3 * n:], out=act[3 * n:])
-    i, f, o, g = act[:n], act[n:2 * n], act[2 * n:3 * n], act[3 * n:]
+    _gate_sigmoid(pre[:3 * n], out=pre[:3 * n])
+    np.tanh(pre[3 * n:], out=pre[3 * n:])
+    i, f, o, g = pre[:n], pre[n:2 * n], pre[2 * n:3 * n], pre[3 * n:]
     c_val = f * c_prev.data
     c_val += i * g
     h_val = np.tanh(c_val)
@@ -376,7 +376,7 @@ def _cell(pre: np.ndarray, act: np.ndarray, c_prev: Tensor, parents, pre_vjp, op
         np.multiply(gc * c_prev.data * f, 1.0 - f, out=f)
         if not h_ran:
             o[...] = 0.0
-        return (*pre_vjp(act), g_prev)
+        return (*pre_vjp(pre), g_prev)
 
     def h_vjp(gh):
         nonlocal h_ran
@@ -393,13 +393,12 @@ def _cell(pre: np.ndarray, act: np.ndarray, c_prev: Tensor, parents, pre_vjp, op
 def lstm_cell(pre: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
     """ConvLSTM cell update (Shi et al. 2015) from stacked gate pre-activations.
 
-    pre: [4 * hidden, ...], the rows of gates i, f, o and g in that order;
-    c_prev: [hidden, ...]. Returns (h, c) with c = f * c_prev + i * g and
-    h = o * tanh(c), where g is a tanh of its rows and i, f and o are sigmoids
-    of theirs, each computed as 0.5 + 0.5 * tanh(x / 2) (`_gate_sigmoid`).
-    c is one node on (pre, c_prev) and h one node on c; pre is not changed.
+    pre: [4 * hidden, ...], the rows of gates i, f, o and g in that order; c_prev: [hidden, ...]. Returns
+    (h, c) with c = f * c_prev + i * g and h = o * tanh(c), where g is a tanh of its rows and i, f and o are
+    sigmoids of theirs, each computed as 0.5 + 0.5 * tanh(x / 2) (`_gate_sigmoid`). c is one node on
+    (pre, c_prev) and h one node on c; the cell activates a copy of pre.data, so pre is not changed.
     """
-    return _cell(pre.data, np.empty_like(pre.data), c_prev, (pre,), lambda gpre: (gpre,), "lstm_cell")
+    return _cell(pre.data.copy(), c_prev, (pre,), lambda gpre: (gpre,), "lstm_cell")
 
 
 def convlstm_cell(x, kernel: Tensor, bias: Tensor | None, c_prev: Tensor) -> tuple[Tensor, Tensor]:
@@ -412,7 +411,7 @@ def convlstm_cell(x, kernel: Tensor, bias: Tensor | None, c_prev: Tensor) -> tup
     changed in place before backward().
     """
     pre, parents, conv_vjp = _conv(x, kernel, bias, "convlstm_cell")
-    return _cell(pre, pre, c_prev, parents, conv_vjp, "convlstm_cell")
+    return _cell(pre, c_prev, parents, conv_vjp, "convlstm_cell")
 
 
 # ---------------------------------------------------------------------------

@@ -283,11 +283,12 @@ def aggregate_heatmap(paths, grid: GridSpec, sigma: float, native_w, native_h) -
 
 def cmd_saliency(args, rc: RunConfig) -> None:
     dataset = _load_dataset(rc, args.scanpaths, model_inputs=False)
-    out = _prepare_out(args, rc, {"scanpaths": args.scanpaths or rc.dataset_csv})
     grid = GridSpec(rc.grid_width, rc.grid_height)
     by_image = group_by_image(dataset.scanpaths)
-    for rec in dataset.images:
-        heat = aggregate_heatmap(by_image[rec.image_id], grid, rc.sigma, rec.width, rec.height)
+    # every heatmap is rendered before anything is written
+    heats = [aggregate_heatmap(by_image[rec.image_id], grid, rc.sigma, rec.width, rec.height) for rec in dataset.images]
+    out = _prepare_out(args, rc, {"scanpaths": args.scanpaths or rc.dataset_csv})
+    for rec, heat in zip(dataset.images, heats):
         img = np.round(heat / heat.max() * 255.0).astype(np.uint8)
         write_pgm(out / f"{rec.image_id}.pgm", img)
     print(f"wrote {len(dataset.images)} heatmaps to {out}")
@@ -296,10 +297,10 @@ def cmd_saliency(args, rc: RunConfig) -> None:
 def cmd_synth(args, rc: RunConfig) -> None:
     for flag, count in (("--images", args.images), ("--observers", args.observers), ("--rois", args.rois)):
         _require_positive(flag, count)
-    out = _prepare_out(args, rc, {})
     grid = GridSpec(rc.grid_width, rc.grid_height)
     rng = np.random.default_rng(rc.seed)
     ds = synth_dataset(args.images, args.observers, args.rois, grid, rng)
+    out = _prepare_out(args, rc, {})
     save_scanpath_csv(ds.scanpaths, out / "dataset.csv")
     for rec in ds.images:
         write_pgm(out / f"{rec.image_id}.pgm", rec.pixels)

@@ -217,7 +217,7 @@ def kl_dtw_loss(pred_maps, truth, cfg: LossConfig, grid: GridSpec):
     truth), which is algebraically identical to calling pairwise_cost per pair.
     Scanpaths of equal length share one cost stack and one dynamic program.
     """
-    pred_maps = list(pred_maps)
+    pred_maps, truth = list(pred_maps), list(truth)
     preds = [_tensor(p) for p in pred_maps]
     if not preds:
         raise ParameterError("prediction sequence is empty")

@@ -241,7 +241,7 @@ class ScanpathModel:
         return frames
 
     def _point_feed(self, rng: np.random.Generator, th: float, points: list, maps: list, prefix=()):
-        """An _unroll feed: prefix[t] while it lasts, then a point sampled from step t's map; fills points and maps."""
+        """Feed of _unroll and rollout's last step: prefix[t], else a point drawn from step t's map; fills the lists."""
         cfg = self.cfg
 
         def feed(t, tspm):
@@ -257,9 +257,9 @@ class ScanpathModel:
                 observer_id: str = "model", th: float | None = None):
         """Sample one scanpath; returns it with the per-step probability maps.
 
-        Bayesian kernels are drawn once at the start. The first step sees the
-        center-prior map; a prefix, when given, is teacher-forced: its points
-        are taken verbatim and fed back instead of samples.
+        Bayesian kernels are drawn once at the start. The first step sees the center-prior map; a prefix, when
+        given, is teacher-forced: its points are taken verbatim and fed back instead of samples. The last point
+        comes from one more call of the feed, whose map goes unused; image_id defaults to the prefix's.
         """
         cfg = self.cfg
         n_prefix = prefix.n if prefix is not None else 0
@@ -274,9 +274,7 @@ class ScanpathModel:
         points, frames = [], []
         with ad.no_grad():
             feed = self._point_feed(rng, threshold, points, frames, prefix.points if prefix is not None else ())
-            frames.append(tensor_to_probmap(self._unroll(feat, rng, feed)[-1], cfg.grid))
-        last = sample_next_point(frames[-1], threshold, rng, cfg.threshold_mode)
-        points.append(GazePoint(last.x, last.y, cfg.n_fixations - 1))
+            feed(cfg.n_fixations - 1, self._unroll(feat, rng, feed)[-1])
         return Scanpath(tuple(points), image_id, observer_id), frames
 
     def rollout_training(self, feat: Tensor, rng: np.random.Generator,
@@ -297,8 +295,7 @@ class ScanpathModel:
         """Continue a partial scanpath to full length, keeping the prefix verbatim."""
         if prefix is None:
             raise ParameterError("complete_scanpath needs a prefix")
-        path, _ = self.rollout(feat, rng, prefix=prefix, image_id=prefix.image_id,
-                               observer_id=prefix.observer_id)
+        path, _ = self.rollout(feat, rng, prefix=prefix, observer_id=prefix.observer_id)
         return path
 
 
@@ -346,7 +343,8 @@ def sample_next_point(tspm: ProbMap, th: float, rng: np.random.Generator,
     else:
         cdf = np.cumsum(w.reshape(-1) / total)
         flat = int(np.searchsorted(cdf, rng.random(), side="right"))
-        flat = min(flat, v.size - 1)
+        if flat == v.size:  # rounding can leave cdf[-1] below the draw: take the last surviving pixel
+            flat = int(np.flatnonzero(w)[-1])
     row, col = divmod(flat, tspm.grid.width)
     return GazePoint(float(col), float(row))
 

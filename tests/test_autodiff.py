@@ -1,7 +1,9 @@
+import ast
 import contextlib
 import math
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -752,3 +754,9 @@ def test_grad_check_trivial_cases():
     x = parameter(np.linspace(-1, 1, 6))
     assert grad_check(lambda t: tsum(t), x) < 1e-12
     assert grad_check(lambda t: tsum(hadamard(t, t)), x) < 1e-6
+
+
+def test_the_cell_activates_its_one_gate_buffer():
+    tree = ast.parse(Path(ad.__file__).read_text(encoding="utf-8"))
+    cell = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_cell")
+    assert [a.arg for a in cell.args.args] == ["pre", "c_prev", "parents", "pre_vjp", "op"]

@@ -493,6 +493,20 @@ def test_synth_counts_below_one_are_usage_errors_before_any_output(tmp_path, fla
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,over,error", [
+    ("synth", {"grid_width": 1, "grid_height": 2}, "grid must contain at least 4 pixels"),
+    ("saliency", {"grid_width": 1, "grid_height": 2}, "grid must contain at least 4 pixels"),
+    ("saliency", {"sigma": 0}, "sigma must be positive and finite"),
+])
+def test_bad_grid_or_sigma_is_a_usage_error_before_any_output(tmp_path, workspace, command, over, error, capsys):
+    cfg = write_cfg(tmp_path / "bad.cfg", dataset_csv=str(workspace["data"] / "dataset.csv"), **over)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_repeated_config_key_is_a_data_error_naming_both_lines(tmp_path, capsys):
     cfg = tmp_path / "dup.cfg"
     cfg.write_text("seed=1\nlr=0.1\n# seed=3\nseed=2\nlr=0.2\n")

@@ -624,6 +624,15 @@ def test_kl_dtw_loss_rejects_truth_on_another_grid():
         kl_dtw_loss(maps, [path, path.coords()], LossConfig(sigma=1.0), grid)
 
 
+def test_kl_dtw_loss_takes_its_truth_from_any_iterable():
+    grid, maps = GridSpec(7, 5), [np.full((5, 7), 1 / 35)] * 3
+    paths = [Scanpath((GazePoint(1.0, 1.0, 0), GazePoint(2.0, 3.0, 1))), Scanpath((GazePoint(4.0, 2.0, 0),))]
+    cfg = LossConfig(sigma=1.0)
+    assert kl_dtw_loss(maps, (s for s in paths), cfg, grid) == kl_dtw_loss(maps, paths, cfg, grid)
+    with pytest.raises(ShapeError):
+        kl_dtw_loss(maps, (s for s in [spatialize(paths[0], GridSpec(5, 7), 1.0)]), cfg, grid)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1e-3])
 def test_kl_dtw_loss_rejects_nonpositive_prediction(bad):
     grid, truth, maps = train_shaped_case()

@@ -1,5 +1,7 @@
+import ast
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -433,6 +435,30 @@ def test_sample_next_point_equal_survivors():
     assert abs(hits / 10_000 - 0.5) < 0.02
 
 
+class FixedDraw:
+    """A generator stub whose every uniform draw is `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+def test_a_draw_above_the_rounded_cdf_takes_the_last_surviving_pixel():
+    # the cumulative sum can round to 1 - 2**-52 at its end, below the largest draw Generator.random() returns
+    rng, top, above = np.random.default_rng(21), FixedDraw(1.0 - 2.0 ** -53), 0
+    for _ in range(400):
+        v = rng.uniform(0.0, 1.0, (8, 8))
+        v[-1, -1] = 0.1 * v.max()  # the bottom-right pixel is below the cut
+        m = make_map(v)
+        w = np.where(m.values >= 0.7 * m.values.max(), m.values, 0.0).reshape(-1)
+        above += np.cumsum(w / w.sum())[-1] <= top.value
+        p = sample_next_point(m, 0.7, top)
+        assert (p.y, p.x) == divmod(int(np.flatnonzero(w)[-1]), 8)
+    assert above > 10
+
+
 def test_sample_next_point_threshold_semantics():
     rng = np.random.default_rng(12)
     v = rng.uniform(0.1, 1.0, (5, 5))
@@ -697,3 +723,13 @@ def test_rollout_converts_each_map_once(monkeypatch, n_prefix):
     assert len(converted) == len(frames) == cfg.n_fixations
     assert np.array_equal(path.coords(), expected.coords())
     assert all(np.array_equal(a.values, b.values) for a, b in zip(frames, expected_frames))
+
+
+def test_rollout_samples_every_point_through_its_feed():
+    tree = ast.parse(Path(model_module.__file__).read_text(encoding="utf-8"))
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ScanpathModel")
+    rollout = next(node for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "rollout")
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(rollout) if isinstance(node, ast.Call)}
+    assert "_point_feed" in called
+    assert not called & {"sample_next_point", "GazePoint"}
