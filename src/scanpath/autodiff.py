@@ -348,17 +348,23 @@ def conv2d(x, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     return node(*_conv(x, kernel, bias, "conv2d"))
 
 
-def _cell(pre: np.ndarray, c_prev: Tensor, parents, pre_vjp, op: str) -> tuple[Tensor, Tensor]:
-    """The ConvLSTM cell update on gate pre-activations `pre`, which it activates in place.
+def convlstm_cell(x, kernel: Tensor, bias: Tensor | None, c_prev: Tensor) -> tuple[Tensor, Tensor]:
+    """One ConvLSTM layer step (Shi et al. 2015): the gate convolution fused with the cell update, as two nodes.
 
-    c is one node on (*parents, c_prev) and h one node on c alone; the graph keeps the activated gates, c and h.
-    h's VJP recomputes tanh(c) from c and writes the o rows of pre's gradient over the o gates; c's, which runs
-    after it (c is h's only parent), writes the i, f and g rows over theirs (and zeros over the o rows when h got
-    no gradient) and returns pre_vjp(pre) and gc * f for c_prev.
+    x, kernel and bias are as in conv2d; the 4 * hidden output rows are gates i, f, o and g in that order, and
+    c_prev is [hidden, H, W]. On pre = conv2d(x, kernel, bias), returns (h, c) with c = f * c_prev + i * g and
+    h = o * tanh(c): g is a tanh of its rows, i, f and o sigmoids of theirs, each 0.5 + 0.5 * tanh(x / 2).
+
+    pre is activated in place and never becomes a node: c is one node on (x's blocks, kernel, bias, c_prev), h one
+    on c alone. The graph keeps the activated gates, c and h; under no_grad only c and h. h's VJP recomputes
+    tanh(c) and writes the o rows of the gates' gradient over the o gates; c's, which runs after it, writes the
+    i, f and g rows (and zeros over the o rows when h got no gradient) and runs conv2d's VJP on them. As with
+    conv2d, neither the blocks' data nor kernel.data may be changed in place before backward().
     """
+    pre, parents, conv_vjp = _conv(x, kernel, bias, "convlstm_cell")
     n = c_prev.data.shape[0]
     if pre.shape != (4 * n, *c_prev.data.shape[1:]):
-        raise ShapeError(f"{op}: pre-activations {pre.shape} vs cell state {c_prev.data.shape}")
+        raise ShapeError(f"convlstm_cell: pre-activations {pre.shape} vs cell state {c_prev.data.shape}")
     _gate_sigmoid(pre[:3 * n], out=pre[:3 * n])
     np.tanh(pre[3 * n:], out=pre[3 * n:])
     i, f, o, g = pre[:n], pre[n:2 * n], pre[2 * n:3 * n], pre[3 * n:]
@@ -376,7 +382,7 @@ def _cell(pre: np.ndarray, c_prev: Tensor, parents, pre_vjp, op: str) -> tuple[T
         np.multiply(gc * c_prev.data * f, 1.0 - f, out=f)
         if not h_ran:
             o[...] = 0.0
-        return (*pre_vjp(pre), g_prev)
+        return (*conv_vjp(pre), g_prev)
 
     def h_vjp(gh):
         nonlocal h_ran
@@ -388,30 +394,6 @@ def _cell(pre: np.ndarray, c_prev: Tensor, parents, pre_vjp, op: str) -> tuple[T
 
     c = node(c_val, (*parents, c_prev), c_vjp)
     return node(h_val, (c,), h_vjp), c
-
-
-def lstm_cell(pre: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-    """ConvLSTM cell update (Shi et al. 2015) from stacked gate pre-activations.
-
-    pre: [4 * hidden, ...], the rows of gates i, f, o and g in that order; c_prev: [hidden, ...]. Returns
-    (h, c) with c = f * c_prev + i * g and h = o * tanh(c), where g is a tanh of its rows and i, f and o are
-    sigmoids of theirs, each computed as 0.5 + 0.5 * tanh(x / 2) (`_gate_sigmoid`). c is one node on
-    (pre, c_prev) and h one node on c; the cell activates a copy of pre.data, so pre is not changed.
-    """
-    return _cell(pre.data.copy(), c_prev, (pre,), lambda gpre: (gpre,), "lstm_cell")
-
-
-def convlstm_cell(x, kernel: Tensor, bias: Tensor | None, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-    """One ConvLSTM layer step: lstm_cell(conv2d(x, kernel, bias), c_prev) to the same bits, as two nodes.
-
-    The gate pre-activations are activated in place and never become a node: c is one node on (x's blocks,
-    kernel, bias, c_prev) whose VJP runs conv2d's on the gates' gradient, and h one node on c. The graph keeps
-    the activated gates, c and h (h's VJP recomputes tanh(c), and the gates' gradient is written over the
-    gates); under no_grad only c and h. As with conv2d, neither the blocks' data nor kernel.data may be
-    changed in place before backward().
-    """
-    pre, parents, conv_vjp = _conv(x, kernel, bias, "convlstm_cell")
-    return _cell(pre, c_prev, parents, conv_vjp, "convlstm_cell")
 
 
 # ---------------------------------------------------------------------------

@@ -300,16 +300,16 @@ class ScanpathModel:
 
 
 def convlstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, gate_weights: dict):
-    """One ConvLSTM cell update from explicit per-gate weights.
+    """One ConvLSTM cell update from explicit per-gate weights, through the model's `ad.convlstm_cell`.
 
-    gate_weights maps each of "i", "f", "o", "g" to (x_kernel, h_kernel, bias).
-    Returns (h, c).
+    gate_weights maps each of "i", "f", "o", "g" to (x_kernel, h_kernel, bias). They are joined as
+    `_gate_blocks` lays out a layer: kernel rows by gate in GATE_ORDER, x columns then h columns. Returns (h, c)
+    with c = f * c_prev + i * g and h = o * tanh(c), where each gate is its nonlinearity (sigmoid for i, f and
+    o, tanh for g) of conv2d(x, x_kernel, bias) + conv2d(h_prev, h_kernel).
     """
-    pre = []
-    for gate in GATE_ORDER:
-        kx, kh, b = gate_weights[gate]
-        pre.append(ad.add(ad.conv2d(x, kx, b), ad.conv2d(h_prev, kh, None)))
-    return ad.lstm_cell(ad.concat0(pre), c_prev)
+    w = [gate_weights[gate] for gate in GATE_ORDER]
+    kernel = ad.concat0([ad.concat0([kx, kh], axis=1) for kx, kh, _ in w])
+    return ad.convlstm_cell([x, h_prev], kernel, ad.concat0([b for _, _, b in w]), c_prev)
 
 
 def tspm_head(h: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
@@ -422,10 +422,13 @@ def model_from_checkpoint(ckpt, expected: ModelConfig | None = None):
         if min(step, adam_step) < 0:
             raise ValueError(f"negative step count {min(step, adam_step)}")
         if "rng_state" in hyper:
+            has_uint32 = int(hyper["rng_has_uint32"])
+            if has_uint32 not in (0, 1):
+                raise ValueError(f"rng_has_uint32 is {has_uint32}, not 0 or 1")
             bg = np.random.PCG64()
             bg.state = {"bit_generator": "PCG64",
                         "state": {"state": int(hyper["rng_state"]), "inc": int(hyper["rng_inc"])},
-                        "has_uint32": int(hyper["rng_has_uint32"]), "uinteger": int(hyper["rng_uinteger"])}
+                        "has_uint32": has_uint32, "uinteger": int(hyper["rng_uinteger"])}
             rng = np.random.Generator(bg)
     except (KeyError, ValueError, OverflowError) as exc:
         raise FormatError(f"checkpoint trailer: {exc!r}") from None

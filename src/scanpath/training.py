@@ -125,9 +125,11 @@ def _log_rows_through(path: Path, step: int) -> list[str]:
 
 
 def check_inputs(model: ScanpathModel, prepared: list[PreparedExample]) -> None:
-    """Check each example's scanpaths, grid and sigma against the model's and build its feature stack, so an
-    example without scanpaths or with another length, grid or sigma, or a missing or misshapen feature input,
-    fails before anything is written."""
+    """Check that there is an example, then each example's scanpaths, grid and sigma against the model's, and
+    build its feature stack, so an empty set, an example without scanpaths or with another length, grid or sigma,
+    or a missing or misshapen feature input, fails before anything is written."""
+    if not prepared:
+        raise DataError("training needs at least one prepared image")
     cfg = model.cfg
     with ad.no_grad():
         for ex in prepared:
@@ -153,8 +155,6 @@ def train(prepared: list[PreparedExample], cfg: TrainConfig, out_dir, resume_fro
     keeps its log; a resumed run keeps the rows up to the checkpoint's step
     and appends after them. The returned log holds this call's steps only.
     """
-    if not prepared:
-        raise DataError("training needs at least one prepared image")
     state = init_state(cfg) if resume_from is None else resume_state(resume_from, cfg)
     check_inputs(state.model, prepared)
     out = Path(out_dir)

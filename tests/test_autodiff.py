@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from scanpath import autodiff as ad
+from scanpath import model as model_module
 from scanpath.autodiff import (
     AdamState,
     BayesConvParams,
@@ -22,7 +23,6 @@ from scanpath.autodiff import (
     convlstm_cell,
     grad_check,
     hadamard,
-    lstm_cell,
     map_softmax,
     parameter,
     recip,
@@ -306,15 +306,29 @@ def test_conv2d_with_one_output_channel_equals_per_tap_oracle(k, with_bias):
         assert_same_bits(conv2d_with_grads(xv, kv, bv, g), per_tap_conv2d(xv, kv, bv, g))
 
 
+def gate_sigmoid(a):
+    """The fused cell's logistic, 0.5 + 0.5 * tanh(x / 2), as a node of its own."""
+    y = ad._gate_sigmoid(a.data)
+    return ad.node(y, (a,), lambda g: (g * y * (1.0 - y),))
+
+
+def unfused_cell(pre, c_prev, hidden, gate):
+    """(h, c) of one cell update as four slices, `gate` on the i, f and o rows, two tanh and four elementwise nodes."""
+    i, f, o = (gate(ad.slice0(pre, j * hidden, (j + 1) * hidden)) for j in range(3))
+    g = ad.tanh(ad.slice0(pre, 3 * hidden, 4 * hidden))
+    c = ad.add(ad.hadamard(f, c_prev), ad.hadamard(i, g))
+    return ad.hadamard(o, ad.tanh(c)), c
+
+
 def layer_step_with_grads(fused, single, xvs, needs, kv, bv, cv, roots, rng_seed):
     """(h, c, then the gradients of each block, the kernel, the bias and c_prev) of one ConvLSTM layer step,
-    as convlstm_cell or as lstm_cell(conv2d(...)), with backward() from the roots among "h" and "c".
+    as convlstm_cell or as unfused_cell(conv2d(...)), with backward() from the roots among "h" and "c".
 
     Each block of xvs is a parameter where needs says so; a single block is passed as a tensor, not a list."""
     xs = [parameter(v) if need else constant(v) for v, need in zip(xvs, needs)]
     x = xs[0] if single else xs
     k, b, c_prev = parameter(kv), parameter(bv), parameter(cv)
-    h, c = convlstm_cell(x, k, b, c_prev) if fused else lstm_cell(conv2d(x, k, b), c_prev)
+    h, c = convlstm_cell(x, k, b, c_prev) if fused else unfused_cell(conv2d(x, k, b), c_prev, len(cv), gate_sigmoid)
     weights = np.random.default_rng(rng_seed)
     terms = [tsum(hadamard(t, constant(weights.standard_normal(t.shape)))) for t in (h, c)]
     backward(terms[0] if roots == "h" else terms[1] if roots == "c" else ad.add(*terms))
@@ -376,7 +390,7 @@ def test_convlstm_cell_holds_gates_c_and_h_and_under_no_grad_only_c_and_h():
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        # lstm_cell(conv2d(...)) holds 10n maps: conv2d's output, the activated gates, c and h
+        # an unfused cell on conv2d(...) would hold 10n maps: conv2d's output, the activated gates, c and h
         assert held < bound + 16 * 1024
         del out
 
@@ -519,31 +533,6 @@ def test_grad_check_conv2d_wide_kernel_non_square():
     assert grad_check(lambda t: tsum(hadamard(conv2d(t, constant(kv)), w)), x) < 1e-6
 
 
-def test_lstm_cell_values_and_grad_check():
-    rng = np.random.default_rng(16)
-    pre_v = rng.uniform(-2, 2, (8, 3, 4))
-    c_v = rng.uniform(-1, 1, (2, 3, 4))
-    h, c = lstm_cell(constant(pre_v), constant(c_v))
-
-    def sig(v):
-        return 1.0 / (1.0 + np.exp(-v))
-
-    i, f, o, g = sig(pre_v[:2]), sig(pre_v[2:4]), sig(pre_v[4:6]), np.tanh(pre_v[6:])
-    assert np.abs(c.data - (f * c_v + i * g)).max() < 1e-12
-    assert np.abs(h.data - o * np.tanh(f * c_v + i * g)).max() < 1e-12
-
-    r = constant(rng.standard_normal((4, 3, 4)))
-
-    def loss(pre_t, c_t):
-        h, c = lstm_cell(pre_t, c_t)
-        return tsum(hadamard(concat0([h, c]), r))
-
-    assert grad_check(lambda t: loss(t, constant(c_v)), parameter(pre_v.copy())) < 1e-6
-    assert grad_check(lambda t: loss(constant(pre_v), t), parameter(c_v.copy())) < 1e-6
-    with pytest.raises(ShapeError):
-        lstm_cell(constant(pre_v[:6]), constant(c_v))
-
-
 def exact_logistic(x):
     """The logistic in extended precision, evaluated from the side that cannot overflow."""
     x = np.asarray(x, dtype=np.longdouble)
@@ -557,11 +546,12 @@ def test_gate_sigmoid_is_within_two_ulps_of_the_logistic():
         assert np.abs(ad._gate_sigmoid(x) - exact_logistic(x)).max() <= 2.3e-16
         assert abs(ad._gate_sigmoid(np.array(0.7)) - exact_logistic(0.7)) <= 2.3e-16
         assert ad._gate_sigmoid(np.array(0.0)) == 0.5
-        # the cell's forget gate reads it: with c_prev = 1 and g = 0, c = f
-        pre = np.zeros((4, x.size))
+        # the cell's forget gate reads it: through a 1x1 identity kernel with c_prev = 1 and g = 0, c = f
+        pre = np.zeros((4, 1, x.size))
         pre[1] = x
-        _, c = lstm_cell(constant(pre), constant(np.ones((1, x.size))))
-    assert np.abs(c.data[0] - exact_logistic(x)).max() <= 2.3e-16
+        kernel = np.eye(4).reshape(4, 4, 1, 1)
+        _, c = convlstm_cell(constant(pre), constant(kernel), None, constant(np.ones((1, 1, x.size))))
+    assert np.abs(c.data[0, 0] - exact_logistic(x)).max() <= 2.3e-16
 
 
 def test_softplus_derivative_keeps_relative_precision():
@@ -757,6 +747,17 @@ def test_grad_check_trivial_cases():
 
 
 def test_the_cell_activates_its_one_gate_buffer():
+    """One cell: autodiff's convlstm_cell takes no activation buffer, and model.convlstm_step returns its result."""
     tree = ast.parse(Path(ad.__file__).read_text(encoding="utf-8"))
-    cell = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_cell")
-    assert [a.arg for a in cell.args.args] == ["pre", "c_prev", "parents", "pre_vjp", "op"]
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_cell" not in defs and "lstm_cell" not in defs
+    cell = defs["convlstm_cell"]
+    assert [a.arg for a in cell.args.args] == ["x", "kernel", "bias", "c_prev"]
+    assert "act" not in {node.id for node in ast.walk(cell) if isinstance(node, ast.Name)}
+    tree = ast.parse(Path(model_module.__file__).read_text(encoding="utf-8"))
+    step = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "convlstm_step")
+    called = {node.func.attr for node in ast.walk(step) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)}
+    assert "conv2d" not in called
+    returned = step.body[-1]
+    assert isinstance(returned, ast.Return) and returned.value.func.attr == "convlstm_cell"

@@ -265,6 +265,7 @@ BAD_RESUME_ERRORS = {
     "missing": "No such file",
     "mismatched": "hidden_channels: checkpoint 3 != config 4",
     "no_optimizer_state": "no optimizer/rng state",
+    "bad_rng_has_uint32": "rng_has_uint32 is 2, not 0 or 1",
 }
 
 
@@ -276,15 +277,33 @@ def test_train_resume_checks_the_checkpoint_before_any_output(tmp_path, workspac
     elif case == "mismatched":
         cfg = write_cfg(tmp_path / "other.cfg", hidden_channels=4, dataset_csv=str(workspace["data"] / "dataset.csv"),
                         images_dir=str(workspace["data"]))
-    else:
+    elif case == "no_optimizer_state":
         full = read_checkpoint(ckpt)
         ckpt = str(tmp_path / "weights_only.spck")
         write_checkpoint(ckpt, replace(full, tensors={k: v for k, v in full.tensors.items()
                                                       if not k.startswith("adam.")}))
+    else:
+        full = read_checkpoint(ckpt)
+        ckpt = str(tmp_path / "bad_rng.spck")
+        write_checkpoint(ckpt, replace(full, hyper={**full.hyper, "rng_has_uint32": "2"}))
     out = tmp_path / "out"
     capsys.readouterr()
     assert main(["train", "--config", str(cfg), "--out", str(out), "--resume", ckpt]) == 2
     assert BAD_RESUME_ERRORS[case] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_with_no_scanpath_left_after_preprocessing_exits_2_before_any_output(tmp_path, workspace, capsys):
+    csv = tmp_path / "short.csv"
+    image_id = load_scanpath_dataset(workspace["data"] / "dataset.csv").images[0].image_id
+    csv.write_text(f"image_id,observer_id,fix_index,x,y\n{image_id},obs,0,1.0,2.0\n{image_id},obs,1,3.0,4.0\n")
+    cfg = write_cfg(tmp_path / "short.cfg", min_scanpath_len=4, dataset_csv=str(csv),
+                    images_dir=str(workspace["data"]))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match="has no scanpath of length >= 4"):
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "training needs at least one prepared image" in capsys.readouterr().err
     assert not out.exists()
 
 

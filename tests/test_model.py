@@ -28,7 +28,7 @@ from scanpath.model import (
     tspm_head,
 )
 from scanpath.training import TrainConfig, init_state, train_step
-from test_autodiff import naive_conv2d
+from test_autodiff import gate_sigmoid, naive_conv2d, unfused_cell
 from test_core import peak, validate_probmap
 
 # chi-square critical value at p = 0.01 for 63 degrees of freedom
@@ -218,20 +218,6 @@ def sigmoid(a):
     """The logistic as a node of its own, exact for very negative inputs."""
     y = ad._sigmoid_values(a.data)
     return ad.node(y, (a,), lambda g: (g * y * (1.0 - y),))
-
-
-def gate_sigmoid(a):
-    """The fused cell's logistic, 0.5 + 0.5 * tanh(x / 2), as a node of its own."""
-    y = ad._gate_sigmoid(a.data)
-    return ad.node(y, (a,), lambda g: (g * y * (1.0 - y),))
-
-
-def unfused_cell(pre, c_prev, hidden, gate):
-    """(h, c) of one cell update as four slices, `gate` on the i, f and o rows, two tanh and four elementwise nodes."""
-    i, f, o = (gate(ad.slice0(pre, j * hidden, (j + 1) * hidden)) for j in range(3))
-    g = ad.tanh(ad.slice0(pre, 3 * hidden, 4 * hidden))
-    c = ad.add(ad.hadamard(f, c_prev), ad.hadamard(i, g))
-    return ad.hadamard(o, ad.tanh(c)), c
 
 
 def unfused_draw(mu, rho, rng):
@@ -698,7 +684,8 @@ def test_checkpoint_trailer_pins_every_model_key():
     no_inc = {k: v for k, v in ckpt.hyper.items() if k != "rng_inc"}
     for bad in [{**ckpt.hyper, key: value} for key, value in (
             ("step", "x"), ("step", "-1"), ("adam_step", "x"), ("rng_inc", "zz"), ("rng_has_uint32", "q"),
-            ("rng_state", "-1"), ("layers", "0"), ("grid_width", "0"))] + [no_inc]:
+            ("rng_has_uint32", "2"), ("rng_has_uint32", "-1"), ("rng_has_uint32", "7"), ("rng_state", "-1"),
+            ("layers", "0"), ("grid_width", "0"))] + [no_inc]:
         with pytest.raises(FormatError):
             model_from_checkpoint(replace(ckpt, hyper=bad))
 
