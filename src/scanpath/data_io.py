@@ -293,10 +293,19 @@ def synth_dataset(n_images: int, observers_per_image: int, roi_per_image: int,
     """
     if n_images < 1 or observers_per_image < 1 or roi_per_image < 1:
         raise ParameterError("synth_dataset needs positive counts")
+    if length < 1:
+        raise ParameterError(f"synth_dataset needs length >= 1, got {length}")
+    if not (math.isfinite(noise_frac) and noise_frac >= 0):
+        raise ParameterError(f"synth_dataset needs a finite noise_frac >= 0, got {noise_frac}")
     w, h = grid.width, grid.height
     cx, cy = grid.center
     noise = noise_frac * w
     roi_sigma = 0.10 * w
+    x_hi, y_hi = w - 1e-6, h - 1e-6
+    ys, xs = np.mgrid[0:h, 0:w]
+    # observers drift off the canonical schedule more and more as the
+    # scanpath unfolds, spreading later fixations wider
+    p_dev = [min(0.85, 0.10 + 0.45 * math.log(idx) / math.log(max(length - 1, 2))) for idx in range(1, length)]
 
     images, scanpaths = [], []
     for i in range(n_images):
@@ -304,7 +313,6 @@ def synth_dataset(n_images: int, observers_per_image: int, roi_per_image: int,
         rois = np.column_stack(
             [rng.uniform(0.15 * w, 0.85 * w, roi_per_image), rng.uniform(0.15 * h, 0.85 * h, roi_per_image)]
         )
-        ys, xs = np.mgrid[0:h, 0:w]
         field = np.zeros((h, w))
         for rx, ry in rois:
             field += np.exp(-((xs - rx) ** 2 + (ys - ry) ** 2) / (2 * roi_sigma**2))
@@ -317,24 +325,22 @@ def synth_dataset(n_images: int, observers_per_image: int, roi_per_image: int,
         n_rest = length - 1
         dwell = np.full(roi_per_image, n_rest // roi_per_image)
         dwell[: n_rest % roi_per_image] += 1
-        schedule = np.concatenate([np.full(d, canonical[k]) for k, d in enumerate(dwell) if d > 0])
+        schedule = np.repeat(canonical, dwell).tolist()
+        centres = rois.tolist()
 
         for o in range(observers_per_image):
-            pts = []
-            sx = float(np.clip(cx + rng.normal(0.0, noise), 0, w - 1e-6))
-            sy = float(np.clip(cy + rng.normal(0.0, noise), 0, h - 1e-6))
-            pts.append(GazePoint(sx, sy, 0))
+            # clamps on plain floats: np.clip on a scalar costs more than the draw
+            sx = min(max(cx + rng.normal(0.0, noise), 0.0), x_hi)
+            sy = min(max(cy + rng.normal(0.0, noise), 0.0), y_hi)
+            pts = [GazePoint(sx, sy, 0)]
             for idx in range(1, length):
-                # observers drift off the canonical schedule more and more as
-                # the scanpath unfolds, spreading later fixations wider
-                p_dev = min(0.85, 0.10 + 0.45 * math.log(idx) / math.log(max(length - 1, 2)))
-                if roi_per_image > 1 and rng.random() < p_dev:
+                if roi_per_image > 1 and rng.random() < p_dev[idx - 1]:
                     k = int(rng.integers(roi_per_image))
                 else:
-                    k = int(schedule[idx - 1])
-                rx, ry = rois[k]
-                fx = float(np.clip(rx + rng.normal(0.0, noise), 0, w - 1e-6))
-                fy = float(np.clip(ry + rng.normal(0.0, noise), 0, h - 1e-6))
+                    k = schedule[idx - 1]
+                rx, ry = centres[k]
+                fx = min(max(rx + rng.normal(0.0, noise), 0.0), x_hi)
+                fy = min(max(ry + rng.normal(0.0, noise), 0.0), y_hi)
                 pts.append(GazePoint(fx, fy, idx))
             scanpaths.append(Scanpath(tuple(pts), image_id, f"obs{o:02d}"))
     return Dataset(images=images, scanpaths=scanpaths)

@@ -425,9 +425,12 @@ def model_from_checkpoint(ckpt, expected: ModelConfig | None = None):
             has_uint32 = int(hyper["rng_has_uint32"])
             if has_uint32 not in (0, 1):
                 raise ValueError(f"rng_has_uint32 is {has_uint32}, not 0 or 1")
+            inc = int(hyper["rng_inc"])
+            if inc % 2 == 0:
+                raise ValueError(f"rng_inc is {inc}, but a PCG64 increment is odd")
             bg = np.random.PCG64()
             bg.state = {"bit_generator": "PCG64",
-                        "state": {"state": int(hyper["rng_state"]), "inc": int(hyper["rng_inc"])},
+                        "state": {"state": int(hyper["rng_state"]), "inc": inc},
                         "has_uint32": has_uint32, "uinteger": int(hyper["rng_uinteger"])}
             rng = np.random.Generator(bg)
     except (KeyError, ValueError, OverflowError) as exc:

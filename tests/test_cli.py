@@ -266,6 +266,7 @@ BAD_RESUME_ERRORS = {
     "mismatched": "hidden_channels: checkpoint 3 != config 4",
     "no_optimizer_state": "no optimizer/rng state",
     "bad_rng_has_uint32": "rng_has_uint32 is 2, not 0 or 1",
+    "even_rng_inc": "rng_inc is 4, but a PCG64 increment is odd",
 }
 
 
@@ -285,7 +286,8 @@ def test_train_resume_checks_the_checkpoint_before_any_output(tmp_path, workspac
     else:
         full = read_checkpoint(ckpt)
         ckpt = str(tmp_path / "bad_rng.spck")
-        write_checkpoint(ckpt, replace(full, hyper={**full.hyper, "rng_has_uint32": "2"}))
+        bad = {"rng_has_uint32": "2"} if case == "bad_rng_has_uint32" else {"rng_inc": "4"}
+        write_checkpoint(ckpt, replace(full, hyper={**full.hyper, **bad}))
     out = tmp_path / "out"
     capsys.readouterr()
     assert main(["train", "--config", str(cfg), "--out", str(out), "--resume", ckpt]) == 2

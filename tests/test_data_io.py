@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import struct
@@ -311,6 +312,57 @@ def test_synth_center_start_and_spread_trend():
     spreads /= len(by_img)
     assert all(spreads[0] < spreads[i] for i in range(1, 8))
     assert np.polyfit(np.arange(8), spreads, 1)[0] > 0
+
+
+@pytest.mark.parametrize("kwargs", [{"length": 0}, {"length": -1}, {"noise_frac": -0.1},
+                                    {"noise_frac": math.nan}, {"noise_frac": math.inf}],
+                         ids=["length_0", "length_-1", "noise_-0.1", "noise_nan", "noise_inf"])
+def test_synth_rejects_bad_arguments_before_any_draw(kwargs):
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ParameterError):
+        synth_dataset(2, 3, 2, GridSpec(16, 16), rng, **kwargs)
+    assert rng.bit_generator.state == state
+
+
+def test_synth_length_one_gives_one_point_scanpaths():
+    grid = GridSpec(16, 16)
+    ds = synth_dataset(2, 3, 2, grid, np.random.default_rng(4), length=1)
+    assert len(ds.scanpaths) == 6
+    for s in ds.scanpaths:
+        assert s.n == 1 and s.points[0].index == 0
+        assert grid.contains(s.points[0].x, s.points[0].y)
+
+
+# sha256 over every point's (image_id, observer_id, index, x.hex(), y.hex()) and
+# then every image's pixel bytes: a change to synth_dataset must keep the rng
+# stream and every output bit
+SYNTH_DIGESTS = {
+    "bench_seed1": ((10, 15, 2, GridSpec(32, 32)), {}, 1,
+                    "9a23f5241d8848975e0baf7309ed080e6c2c5de36b2c8813e5620cf6672d5198"),
+    "bench_seed2024": ((10, 15, 2, GridSpec(32, 32)), {}, 2024,
+                       "8f8e1d1dd399490ee9120aaeee18d92fdda03c3e38105f90a186889d6e05de6b"),
+    "one_roi_no_noise": ((3, 4, 1, GridSpec(32, 32)), {"noise_frac": 0.0}, 3,
+                         "1672c5e9c831549375aeebcf790b373556640a2c999b5cc7be7677209a91232f"),
+    "three_rois": ((4, 5, 3, GridSpec(32, 32)), {}, 4,
+                   "c097c4c09268ef4847baf45b960558b71a7c2989fe293a6a7fb9545900027d16"),
+    "length2_20x12": ((3, 4, 2, GridSpec(20, 12)), {"length": 2}, 5,
+                      "aab2d806ae24c505a2803c4d3a5cdd85fdc31ae1e31d53445315c06ba2ffe5f5"),
+}
+
+
+@pytest.mark.parametrize("case", list(SYNTH_DIGESTS))
+def test_synth_dataset_bits_are_pinned(case):
+    args, kwargs, seed, expected = SYNTH_DIGESTS[case]
+    ds = synth_dataset(*args, np.random.default_rng(seed), **kwargs)
+    h = hashlib.sha256()
+    for s in ds.scanpaths:
+        for p in s.points:
+            assert type(p.x) is float and type(p.y) is float
+            h.update(repr((s.image_id, s.observer_id, p.index, p.x.hex(), p.y.hex())).encode())
+    for image in ds.images:
+        h.update(image.pixels.tobytes())
+    assert h.hexdigest() == expected
 
 
 def test_feature_tensor_round_trip(tmp_path):

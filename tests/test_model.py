@@ -683,9 +683,9 @@ def test_checkpoint_trailer_pins_every_model_key():
     assert step == 7 and rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
     no_inc = {k: v for k, v in ckpt.hyper.items() if k != "rng_inc"}
     for bad in [{**ckpt.hyper, key: value} for key, value in (
-            ("step", "x"), ("step", "-1"), ("adam_step", "x"), ("rng_inc", "zz"), ("rng_has_uint32", "q"),
-            ("rng_has_uint32", "2"), ("rng_has_uint32", "-1"), ("rng_has_uint32", "7"), ("rng_state", "-1"),
-            ("layers", "0"), ("grid_width", "0"))] + [no_inc]:
+            ("step", "x"), ("step", "-1"), ("adam_step", "x"), ("rng_inc", "zz"), ("rng_inc", "4"),
+            ("rng_has_uint32", "q"), ("rng_has_uint32", "2"), ("rng_has_uint32", "-1"), ("rng_has_uint32", "7"),
+            ("rng_state", "-1"), ("layers", "0"), ("grid_width", "0"))] + [no_inc]:
         with pytest.raises(FormatError):
             model_from_checkpoint(replace(ckpt, hyper=bad))
 
